@@ -76,7 +76,11 @@ def _build_poly(tower, job):
 def _setting(args, job, name, default):
     value = getattr(args, name, None)
     if value is None:
-        value = job.get(name, default)
+        value = job.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"JobSpec field '{name}' must be an integer")
     return value
 
 
@@ -94,7 +98,6 @@ def cmd_count(args):
     tower = _build_tower(job)
     f = _build_poly(tower, job)
     seed = _setting(args, job, "seed", 0)
-    dim_budget = _setting(args, job, "dim_budget", latcount.DEFAULT_DIM_BUDGET)
     if not f.is_monic or not f.is_squarefree:
         raise InputError("count expects a monic squarefree polynomial; see count-general")
     form = rational_jordan_form(f, seed)
@@ -107,20 +110,10 @@ def cmd_count(args):
     }
     d = _setting(args, job, "d", None)
     if d is None or getattr(args, "all", False):
-        try:
-            payload["g"] = generating_function(species, r, dim_budget=dim_budget).to_json()
-        except BudgetExceeded:
-            payload["g"] = "budget_exceeded"
+        payload["g"] = generating_function(species, r).to_json()
     if d is not None:
         payload["d"] = d
-        payload["g_d"] = latcount.count_from_species(
-            species,
-            r,
-            d,
-            dim_budget,
-            latcount.DEFAULT_BASE_CAP,
-            latcount.DEFAULT_ENUM_BUDGET,
-        )
+        payload["g_d"] = latcount.count_from_species(species, r, d)
     return payload, EXIT_OK
 
 
@@ -132,9 +125,8 @@ def cmd_count_general(args):
     d = _setting(args, job, "d", None)
     if d is None:
         raise InputError("count-general requires d")
-    dim_budget = _setting(args, job, "dim_budget", latcount.DEFAULT_DIM_BUDGET)
     m, squarefree_part = strip_inseparable(f)
-    count = latcount.count_right_components_general(f, d, seed=seed, dim_budget=dim_budget)
+    count = latcount.count_right_components_general(f, d, seed=seed)
     payload = {
         "d": d,
         "m": m,
@@ -224,9 +216,7 @@ def build_parser():
         if needs_input:
             p.add_argument("--input", default="-", help="JobSpec JSON file, or - for stdin")
         p.add_argument("--seed", type=int, default=None, help="PRNG seed (default 0)")
-        p.add_argument("--dim-budget", dest="dim_budget", type=int, default=None)
         p.add_argument("--max-ext", dest="max_ext", type=int, default=None)
-        p.add_argument("--json", action="store_true", help="compact JSON output (default)")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
 
     p = sub.add_parser("species", help="rational Jordan form data of the Frobenius")

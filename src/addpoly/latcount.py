@@ -1,24 +1,19 @@
 """Exact counting of invariant subspaces, chains, and right components.
 
-Line counts and maximal-chain counts come from closed forms over the
-species; full subspace generating functions are obtained by exhaustive
-lattice enumeration of a reduced single-eigenfactor matrix over the field
-of size r^m, then recombined by polynomial multiplication and the z -> z^m
-substitution. All counts are arbitrary-precision integers.
+Every count is a closed form over the species: line counts are sums of
+q-brackets, maximal-chain counts a memoized recursion over quotient
+species, and full subspace generating functions Birkhoff's count of the
+submodules of one eigenfactor over the field of size r^m, recombined by
+the z -> z^m substitution and polynomial multiplication. All counts are
+arbitrary-precision integers.
 """
 
 from functools import lru_cache
 
-from . import oracle, upoly
+from . import upoly
 from .additive import projective_part, strip_inseparable
-from .errors import BudgetExceeded, InputError, InternalInconsistency
-from .ffield import tower_create
-from .frobjordan import jordan_block, rational_jordan_form
-from .upoly import UPoly
-
-DEFAULT_DIM_BUDGET = 6
-DEFAULT_BASE_CAP = 9
-DEFAULT_ENUM_BUDGET = 1 << 21
+from .errors import InputError, InternalInconsistency
+from .frobjordan import rational_jordan_form
 
 Partition = tuple  # weakly decreasing positive integers
 
@@ -28,6 +23,17 @@ def q_bracket(n, b):
     if n < 0 or b < 2:
         raise InputError("q_bracket needs n >= 0 and base >= 2")
     return (b**n - 1) // (b - 1)
+
+
+def gaussian_binomial(n, d, b):
+    """Number of d-dimensional subspaces of an n-space over a size-b field."""
+    if d < 0 or d > n:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= b ** (n - i) - 1
+        den *= b ** (i + 1) - 1
+    return num // den
 
 
 def partitions(m, _max=None):
@@ -89,35 +95,6 @@ class GeneratingFunction:
         return list(self.coeffs)
 
 
-def _prime_of(r):
-    if r < 2:
-        raise InputError("r must be a prime power >= 2")
-    p = 2
-    while p * p <= r:
-        if r % p == 0:
-            break
-        p += 1
-    else:
-        p = r
-    t = r
-    while t % p == 0:
-        t //= p
-    if t != 1:
-        raise InputError(f"r = {r} is not a prime power")
-    return p
-
-
-@lru_cache(maxsize=None)
-def _field_of_size(size):
-    p = _prime_of(size)
-    deg = 0
-    t = 1
-    while t < size:
-        t *= p
-        deg += 1
-    return tower_create(p, deg, 1).fr
-
-
 def _poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -127,63 +104,51 @@ def _poly_mul_int(a, b):
     return out
 
 
-def generating_function(
-    species,
-    r,
-    dim_budget=DEFAULT_DIM_BUDGET,
-    base_cap=DEFAULT_BASE_CAP,
-    enum_budget=DEFAULT_ENUM_BUDGET,
-):
+def _submodule_counts(lam, b):
+    """Invariant-subspace counts by dimension for one eigenfactor.
+
+    The eigenfactor is a torsion module over F_b[[t]] of type mu, where
+    lam_j blocks have size j; its conjugate is mu'_i = lam_i + lam_(i+1) + ...
+    Birkhoff's formula counts the submodules of type nu <= mu as
+    prod_i b^(nu'_(i+1) (mu'_i - nu'_i)) [mu'_i - nu'_(i+1) choose nu'_i - nu'_(i+1)]_b.
+    The sum over all weakly decreasing nu' runs from the last column down,
+    keyed by nu'_(i+1), each state holding its counts by |nu| so far.
+    """
+    conj = [sum(lam[i:]) for i in range(len(lam))]
+    dim = sum(conj)
+    states = {0: [1] + [0] * dim}
+    for top in reversed(conj):
+        nxt = {}
+        for below, counts in states.items():
+            for v in range(below, top + 1):
+                w = b ** (below * (top - v)) * gaussian_binomial(top - below, v - below, b)
+                acc = nxt.setdefault(v, [0] * (dim + 1))
+                for s, c in enumerate(counts):
+                    if c:
+                        acc[s + v] += w * c
+        states = nxt
+    return [sum(col) for col in zip(*states.values())]
+
+
+def generating_function(species, r):
     """Invariant-subspace counts by dimension for a species over GF(r).
 
-    Each eigenfactor of degree m contributes the lattice of a reduced
-    nilpotent matrix over the field of size r^m (counted by exhaustive
-    echelon enumeration), with z replaced by z^m; the per-eigenfactor
-    polynomials are then multiplied. Raises BudgetExceeded, naming the
-    offending eigenfactor, when a reduced dimension or base exceeds its cap.
+    Each eigenfactor of degree m contributes its submodule counts over the
+    field of size r^m (Birkhoff's closed form), with z replaced by z^m; the
+    per-eigenfactor polynomials are then multiplied.
     """
     g = [1]
     for m, lam in species:
-        dim = sum(j * l for j, l in enumerate(lam, start=1))
-        base = r**m
-        if dim > dim_budget:
-            raise BudgetExceeded(
-                f"eigenfactor of degree {m} has reduced dimension {dim} > budget {dim_budget}"
-            )
-        if base > base_cap:
-            raise BudgetExceeded(
-                f"eigenfactor of degree {m} counts over base {base} > cap {base_cap}"
-            )
-        field = _field_of_size(base)
-        mat = _nilpotent_matrix(field, lam)
-        gi = [
-            len(oracle.invariant_subspaces(field, mat, d, enum_budget=enum_budget))
-            for d in range(dim + 1)
-        ]
+        gi = _submodule_counts(lam, r**m)
         if gi != gi[::-1] or gi[0] != 1:
             raise InternalInconsistency(f"per-eigenfactor counts {gi} are not palindromic")
-        spaced = [0] * (m * dim + 1)
+        spaced = [0] * (m * (len(gi) - 1) + 1)
         for d, c in enumerate(gi):
             spaced[m * d] = c
         g = _poly_mul_int(g, spaced)
     if g != g[::-1] or g[0] != 1:
         raise InternalInconsistency(f"generating function {g} is not palindromic")
     return GeneratingFunction(g)
-
-
-def _nilpotent_matrix(field, lam):
-    y = UPoly.y(field)
-    pieces = []
-    for j in range(len(lam), 0, -1):
-        pieces.extend([jordan_block(y, j)] * lam[j - 1])
-    size = sum(len(p) for p in pieces)
-    mat = [[field.zero] * size for _ in range(size)]
-    off = 0
-    for piece in pieces:
-        for i, row in enumerate(piece):
-            mat[off + i][off : off + len(piece)] = row
-        off += len(piece)
-    return mat
 
 
 def depth_counts(lam, i, base):
@@ -243,19 +208,11 @@ def count_chains(species, r):
     return _chains(tuple(species), r)
 
 
-def count_right_components(
-    f,
-    d,
-    seed=0,
-    dim_budget=DEFAULT_DIM_BUDGET,
-    base_cap=DEFAULT_BASE_CAP,
-    enum_budget=DEFAULT_ENUM_BUDGET,
-):
+def count_right_components(f, d, seed=0):
     """Number of monic right components of exponent d of a monic squarefree f.
 
     Zero outside 0 <= d <= n; closed forms serve d in {0, 1, n-1, n}; other
-    dimensions read g_d off the generating function and may raise
-    BudgetExceeded on large species.
+    dimensions read g_d off the generating function.
     """
     if not f.is_monic or not f.is_squarefree:
         raise InputError("input must be monic squarefree")
@@ -265,17 +222,10 @@ def count_right_components(
     if d in (0, n):
         return 1
     species = rational_jordan_form(f, seed).species
-    return count_from_species(species, f.tower.r, d, dim_budget, base_cap, enum_budget)
+    return count_from_species(species, f.tower.r, d)
 
 
-def count_from_species(
-    species,
-    r,
-    d,
-    dim_budget=DEFAULT_DIM_BUDGET,
-    base_cap=DEFAULT_BASE_CAP,
-    enum_budget=DEFAULT_ENUM_BUDGET,
-):
+def count_from_species(species, r, d):
     """Right-component count for a known species: closed forms at the edges,
     the generating function in between."""
     n = species.dimension()
@@ -285,10 +235,10 @@ def count_from_species(
         return 1
     if d == 1 or d == n - 1:  # the lattice is self-dual, so g_(n-1) = g_1
         return count_lines(species, r)
-    return generating_function(species, r, dim_budget, base_cap, enum_budget)[d]
+    return generating_function(species, r)[d]
 
 
-def count_right_components_general(f_general, d, seed=0, **budgets):
+def count_right_components_general(f_general, d, seed=0):
     """Right-component count for an arbitrary monic additive polynomial.
 
     Strips the inseparable part x^(r^m) and sums the squarefree counts over
@@ -300,7 +250,7 @@ def count_right_components_general(f_general, d, seed=0, **budgets):
     n = f.exponent
     total = 0
     for i in range(max(0, d - m), min(d, n) + 1):
-        total += count_right_components(f, i, seed=seed, **budgets)
+        total += count_right_components(f, i, seed=seed)
     return total
 
 

@@ -3,9 +3,10 @@
 Everything the fast paths avoid is done explicitly here: root spaces are
 materialized inside a concrete extension field, the Frobenius becomes an
 explicit matrix, invariant subspaces are enumerated one reduced echelon
-form at a time, and right components are rebuilt as literal root products.
-All of it is gated by explicit budgets; BudgetExceeded is an expected,
-typed outcome, never a correctness escape hatch.
+form at a time, and right components are rebuilt as literal root products
+or found by trial division. All of it is gated by explicit budgets;
+BudgetExceeded is an expected, typed outcome, never a correctness escape
+hatch.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .errors import (
     Overflow,
 )
 from .frobjordan import Species, lambdas_from_nullities
+from .latcount import gaussian_binomial
 from .upoly import UPoly
 
 DEFAULT_MAX_EXT = 32
@@ -92,17 +94,6 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
         cols.append(coords)
     frob = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return RootSpace(tower, f, ext_degree, field, basis, tuple(tuple(r) for r in rows), frob)
-
-
-def gaussian_binomial(n, d, b):
-    """Number of d-dimensional subspaces of an n-space over a size-b field."""
-    if d < 0 or d > n:
-        return 0
-    num = den = 1
-    for i in range(d):
-        num *= b ** (n - i) - 1
-        den *= b ** (i + 1) - 1
-    return num // den
 
 
 def invariant_subspaces(field, mat, d, enum_budget=DEFAULT_ENUM_BUDGET):
@@ -209,6 +200,28 @@ def right_components_brute(f, d, max_ext=DEFAULT_MAX_EXT, enum_budget=DEFAULT_EN
         components.append(h)
     components.sort(key=lambda h: tuple(fq.to_index(c) for c in h.coeffs))
     return components
+
+
+def right_components_by_division(f, d, enum_budget=DEFAULT_ENUM_BUDGET):
+    """All monic right components of exponent d, found by trial division.
+
+    Tries each of the q^d monic h of exponent d and keeps those that
+    right-divide f exactly. Needs no root space, extension field or
+    lattice, and accepts non-squarefree f.
+    """
+    fq = f.tower.fq
+    if d < 0 or d > f.exponent:
+        return []
+    if fq.size**d > enum_budget:
+        raise BudgetExceeded(
+            f"trial division by {fq.size**d} candidates exceeds budget {enum_budget}"
+        )
+    out = []
+    for low in product(list(fq.elements()), repeat=d):
+        h = AdditivePoly(f.tower, low + (fq.one,))
+        if right_divmod(f, h)[1].is_zero:
+            out.append(h)
+    return out
 
 
 def _r_power_index(i, r, d):

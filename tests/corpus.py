@@ -40,6 +40,12 @@ def all_monic_squarefree(tw, n):
             yield additive(tw, a0, *mids, 1)
 
 
+def all_monic(tw, n):
+    """Every monic additive polynomial of exponent n, squarefree or not."""
+    for low in product(range(tw.fq.size), repeat=n):
+        yield additive(tw, *low, 1)
+
+
 def audit_towers():
     """The (q, r) pairs used by the oracle audits: (2,2), (4,2), (4,4)."""
     return [tower(2, 1, 1), tower(2, 1, 2), tower(2, 2, 1)]

@@ -82,7 +82,7 @@ def test_criterion_2_dimension3_table_sweep():
     for r in (2, 3):
         for items, lines_fn, chains_fn in rows:
             species = Species.make(items)
-            g = generating_function(species, r, base_cap=r**3)
+            g = generating_function(species, r)
             assert count_lines(species, r) == lines_fn(r) == g[1] == g[2]
             assert count_chains(species, r) == chains_fn(r)
     elapsed = time.perf_counter() - t0
@@ -230,7 +230,7 @@ def test_criterion_8_property_suites():
         for n in (1, 2, 3, 4):
             for f in all_monic_squarefree(tw, n):
                 species = rational_jordan_form(f).species
-                g = generating_function(species, tw.r, base_cap=tw.r**n)
+                g = generating_function(species, tw.r)
                 assert list(g.coeffs) == list(reversed(g.coeffs))
                 assert g[0] == g[species.dimension()] == 1
                 gf_checked += 1

@@ -75,20 +75,35 @@ def test_count_with_specific_d(capsys, monkeypatch):
     assert json.loads(out)["g_d"] == 1
 
 
-def test_count_budget_exceeded_is_exit_3(capsys, monkeypatch):
-    coeffs = [[1, 0]] + [[0, 0]] * 7 + [[1, 0]]  # species (1; 0,0,0,2), dimension 8
-    code, out = run(capsys, ["count", "--d", "4"], stdin=jobspec_f4(coeffs), monkeypatch=monkeypatch)
-    assert code == 3
-    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+X256_PLUS_X = [[1, 0]] + [[0, 0]] * 7 + [[1, 0]]  # species (1; 0,0,0,2), dimension 8
 
 
-def test_count_all_reports_budget_sentinel(capsys, monkeypatch):
-    coeffs = [[1, 0]] + [[0, 0]] * 7 + [[1, 0]]
-    code, out = run(capsys, ["count", "--all"], stdin=jobspec_f4(coeffs), monkeypatch=monkeypatch)
+def test_count_d_on_dimension_8_species(capsys, monkeypatch):
+    code, out = run(capsys, ["count", "--d", "4"], stdin=jobspec_f4(X256_PLUS_X), monkeypatch=monkeypatch)
     assert code == 0
     payload = json.loads(out)
-    assert payload["g"] == "budget_exceeded"
+    assert payload["d"] == 4 and payload["g_d"] == 31
+
+
+def test_count_all_on_dimension_8_species(capsys, monkeypatch):
+    code, out = run(capsys, ["count", "--all"], stdin=jobspec_f4(X256_PLUS_X), monkeypatch=monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["g"] == [1, 3, 7, 15, 31, 15, 7, 3, 1]
     assert payload["chains"] == 543
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [("count", "d", "1"), ("count", "d", True), ("count-general", "d", "1"), ("species", "seed", "x")],
+)
+def test_non_integer_setting_is_an_input_error(capsys, monkeypatch, command, field, value):
+    job = jobspec_f4(X4_PLUS_X, **{field: value})
+    code, out = run(capsys, [command], stdin=job, monkeypatch=monkeypatch)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert f"'{field}'" in json.loads(lines[0])["error"]["message"]
 
 
 def test_count_general(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from addpoly.additive import AdditivePoly, compose
-from addpoly.errors import BudgetExceeded, InputError
+from addpoly.errors import InputError
 from addpoly.frobjordan import Species, rational_jordan_form
 from addpoly.latcount import (
     count_chains,
@@ -55,11 +55,11 @@ def test_generating_function_examples():
     assert generating_function(Species.make([(1, (1, 1))]), 2).to_json() == [1, 3, 3, 1]
 
 
-def test_generating_function_budget():
-    with pytest.raises(BudgetExceeded):
-        generating_function(Species.make([(1, (0, 0, 0, 2))]), 2, dim_budget=6)
-    with pytest.raises(BudgetExceeded):
-        generating_function(Species.make([(4, (1,))]), 2, base_cap=9)
+def test_generating_function_dimension_8_and_base_16():
+    # two Jordan blocks of size 4 over GF(2), and one eigenfactor counted over GF(16)
+    two_blocks_of_4 = generating_function(Species.make([(1, (0, 0, 0, 2))]), 2)
+    assert two_blocks_of_4.to_json() == [1, 3, 7, 15, 31, 15, 7, 3, 1]
+    assert generating_function(Species.make([(4, (1,))]), 2).to_json() == [1, 0, 0, 0, 1]
 
 
 def test_count_chains_examples():
@@ -85,8 +85,8 @@ def test_table_dim3_sweep():
             species = Species.make(items)
             assert count_lines(species, r) == lines_fn(r)
             assert count_chains(species, r) == chains_fn(r)
-            # base cap raised: a degree-3 eigenfactor counts over GF(r^3)
-            g = generating_function(species, r, base_cap=r**3)
+            # a degree-3 eigenfactor counts over GF(r^3)
+            g = generating_function(species, r)
             assert g[1] == g[2] == lines_fn(r)
             assert g[0] == g[3] == 1
 
@@ -170,6 +170,6 @@ def test_generating_function_palindrome_on_pipeline():
         for n in range(1, 5):
             for f in all_monic_squarefree(tw, n):
                 species = rational_jordan_form(f).species
-                g = generating_function(species, tw.r, base_cap=tw.r**n)
+                g = generating_function(species, tw.r)
                 assert list(g.coeffs) == list(reversed(g.coeffs))
                 assert g[0] == g[species.dimension()] == 1

@@ -3,19 +3,25 @@ from itertools import product
 import pytest
 
 from addpoly.additive import AdditivePoly, evaluate, upoly_to_central
-from addpoly.errors import ExtensionTooLarge
+from addpoly.errors import BudgetExceeded, ExtensionTooLarge
 from addpoly.frobjordan import Species, block_matrix, realize_species
-from addpoly.latcount import count_chains
+from addpoly.latcount import (
+    count_chains,
+    count_right_components,
+    count_right_components_general,
+    generating_function,
+)
 from addpoly.oracle import (
     gaussian_binomial,
     invariant_subspaces,
     maximal_chains_brute,
     right_components_brute,
+    right_components_by_division,
     root_space,
     species_from_matrix,
 )
 from addpoly.upoly import UPoly, order_of_y_mod
-from corpus import additive, all_monic_squarefree, tower, x_rpow_plus_x
+from corpus import additive, all_monic, all_monic_squarefree, tower, x_rpow_plus_x
 
 T2 = tower(2, 1, 1)
 T4 = tower(2, 1, 2)
@@ -221,6 +227,9 @@ def test_chain_counts_match_brute_force_lattice_walk():
                     continue  # not enough irreducibles over this field
                 mat = block_matrix(form)
                 assert maximal_chains_brute(field, mat) == count_chains(species, r)
+                assert [len(invariant_subspaces(field, mat, d)) for d in range(dim + 1)] == list(
+                    generating_function(species, r).coeffs
+                )
                 checked += 1
     assert checked > 60
 
@@ -242,3 +251,40 @@ def test_bijection_audit_small_corpus():
                     brute = right_components_brute(f, d)
                     subs = invariant_subspaces(tw.fr, space.frobenius_matrix, d)
                     assert len(brute) == len(subs)
+
+
+def test_division_oracle_examples():
+    fbar = additive(T2, 0, 1, 1)  # x^4 + x^2: components x, x^2, x^2 + x, x^4 + x^2
+    assert [len(right_components_by_division(fbar, d)) for d in range(-1, 4)] == [0, 1, 2, 1, 0]
+    assert right_components_by_division(fbar, 2) == [fbar]
+    f = x_rpow_plus_x(T4, 2)
+    assert right_components_by_division(f, 1) == right_components_brute(f, 1)
+    with pytest.raises(BudgetExceeded):
+        right_components_by_division(x_rpow_plus_x(T4, 8), 4, enum_budget=255)
+
+
+def test_division_oracle_on_dimension_8_species():
+    # x^(2^8) + x over F_4, species (1; 0,0,0,2)
+    f = x_rpow_plus_x(T4, 8)
+    g = [1, 3, 7, 15, 31, 15, 7, 3, 1]
+    assert [len(right_components_by_division(f, d)) for d in range(6)] == g[:6]
+    assert [count_right_components(f, d) for d in range(9)] == g
+
+
+def test_division_oracle_matches_squarefree_counts():
+    for tw in (T2, T4, tower(3, 1, 1)):
+        for n in range(4):
+            for f in all_monic_squarefree(tw, n):
+                for d in range(n + 1):
+                    assert len(right_components_by_division(f, d)) == count_right_components(f, d)
+
+
+def test_division_oracle_matches_general_counts():
+    # every monic f, squarefree or not, with q^n <= 27
+    for tw in (T2, T4, tower(3, 1, 1), tower(2, 2, 1)):
+        n = 0
+        while tw.fq.size**n <= 27:
+            for f in all_monic(tw, n):
+                for d in range(n + 2):
+                    assert len(right_components_by_division(f, d)) == count_right_components_general(f, d)
+            n += 1
