@@ -31,7 +31,7 @@ from .errors import (
     NotInSubfield,
     Overflow,
 )
-from .ffield import FieldTower, frobenius, subfield_coerce, tower_create
+from .ffield import FieldTower, tower_create
 from .frobjordan import (
     RationalJordanForm,
     Species,

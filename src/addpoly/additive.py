@@ -130,10 +130,9 @@ class AdditivePoly:
     def from_json(cls, tower, obj):
         if not isinstance(obj, dict) or "coeffs" not in obj:
             raise InputError("additive polynomial encoding must be {r_exp, coeffs}")
-        if obj.get("r_exp") != tower.e:
-            raise InputError(
-                f"r_exp {obj.get('r_exp')!r} does not match tower (expected {tower.e})"
-            )
+        r_exp = obj.get("r_exp")
+        if type(r_exp) is not int or r_exp != tower.e:  # true == 1, but is no exponent
+            raise InputError(f"r_exp {r_exp!r} does not match tower (expected {tower.e})")
         coeffs = obj["coeffs"]
         if not isinstance(coeffs, list):
             raise InputError("coeffs must be a list of field-element encodings")
@@ -345,7 +344,7 @@ def strip_inseparable(fbar):
     return m, AdditivePoly(tower, coeffs)
 
 
-def projective_part(f, t, dense_cap=DENSE_EXPANSION_CAP):
+def projective_part(f, t):
     """The ordinary polynomial p with f = x * (p o x^t), for t dividing r-1."""
     tower = f.tower
     r = tower.r
@@ -354,17 +353,19 @@ def projective_part(f, t, dense_cap=DENSE_EXPANSION_CAP):
     if f.is_zero:
         return UPoly.zero(tower.fq)
     n = f.exponent
-    if r**n > dense_cap:
-        raise BudgetExceeded(f"projective image has degree (r^{n}-1)/{t} beyond cap {dense_cap}")
+    if r**n > DENSE_EXPANSION_CAP:
+        raise BudgetExceeded(
+            f"projective image has degree (r^{n}-1)/{t} beyond cap {DENSE_EXPANSION_CAP}"
+        )
     coeffs = [tower.fq.zero] * ((r**n - 1) // t + 1)
     for i, c in enumerate(f.coeffs):
         coeffs[(r**i - 1) // t] = c
     return UPoly(tower.fq, coeffs)
 
 
-def subadditive_image(f, t, dense_cap=DENSE_EXPANSION_CAP):
+def subadditive_image(f, t):
     """x * (projective_part(f, t))^t; for t = 1 this is f as a plain polynomial."""
-    return (projective_part(f, t, dense_cap) ** t).shift(1)
+    return (projective_part(f, t) ** t).shift(1)
 
 
 def evaluate(f, alpha, field=None):
@@ -385,15 +386,15 @@ def evaluate(f, alpha, field=None):
     return acc
 
 
-def to_dense(f, dense_cap=DENSE_EXPANSION_CAP):
+def to_dense(f):
     """Expand to an ordinary degree-r^n polynomial over F_q (gated; test/oracle use)."""
     tower = f.tower
     if f.is_zero:
         return UPoly.zero(tower.fq)
     r = tower.r
     n = f.exponent
-    if r**n > dense_cap:
-        raise BudgetExceeded(f"dense expansion of degree r^{n} exceeds cap {dense_cap}")
+    if r**n > DENSE_EXPANSION_CAP:
+        raise BudgetExceeded(f"dense expansion of degree r^{n} exceeds cap {DENSE_EXPANSION_CAP}")
     coeffs = [tower.fq.zero] * (r**n + 1)
     for i, c in enumerate(f.coeffs):
         coeffs[r**i] = c

@@ -37,79 +37,46 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _read_jobspec(args):
-    path = getattr(args, "input", "-") or "-"
+def _read_jobspec(path):
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
     try:
         job = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-deep nesting, too-long integers
         raise InputError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(job, dict):
         raise InputError("JobSpec must be a JSON object")
     return job
 
 
-def _build_tower(job):
-    for key in ("p", "e", "k"):
-        if key not in job:
-            raise InputError(f"JobSpec is missing required field '{key}'")
-        if not isinstance(job[key], int):
-            raise InputError(f"JobSpec field '{key}' must be an integer")
-    return tower_create(
-        job["p"], job["e"], job["k"], m_r=job.get("m_r"), m_q=job.get("m_q")
-    )
-
-
-def _build_poly(tower, job):
-    if "f" not in job:
-        raise InputError("JobSpec is missing the polynomial field 'f'")
-    return AdditivePoly.from_json(tower, job["f"])
-
-
-def _setting(args, job, name, default):
-    value = getattr(args, name, None)
-    if value is None:
-        value = job.get(name)
-    if value is None:
-        return default
-    if not isinstance(value, int) or isinstance(value, bool):
+def _integer(name, value):
+    if type(value) is not int:  # a JSON true is a bool, never an integer here
         raise InputError(f"JobSpec field '{name}' must be an integer")
     return value
 
 
-def cmd_species(args):
-    job = _read_jobspec(args)
-    tower = _build_tower(job)
-    f = _build_poly(tower, job)
-    seed = _setting(args, job, "seed", 0)
-    form = rational_jordan_form(f, seed)
-    return form.to_json(), EXIT_OK
+def cmd_species(f, settings):
+    return rational_jordan_form(f, settings["seed"]).to_json(), EXIT_OK
 
 
-def cmd_count(args):
-    job = _read_jobspec(args)
-    tower = _build_tower(job)
-    f = _build_poly(tower, job)
-    seed = _setting(args, job, "seed", 0)
+def cmd_count(f, settings):
     if not f.is_monic or not f.is_squarefree:
         raise InputError("count expects a monic squarefree polynomial; see count-general")
-    form = rational_jordan_form(f, seed)
-    species = form.species
-    r = tower.r
+    species = rational_jordan_form(f, settings["seed"]).species
+    r = f.tower.r
     payload = {
         "species": species.to_json(),
         "lines": count_lines(species, r),
         "chains": count_chains(species, r),
     }
-    d = _setting(args, job, "d", None)
-    if d is None or getattr(args, "all", False):
+    d = settings["d"]
+    if d is None or settings["all"]:
         payload["g"] = generating_function(species, r).to_json()
     if d is not None:
         payload["d"] = d
@@ -117,16 +84,10 @@ def cmd_count(args):
     return payload, EXIT_OK
 
 
-def cmd_count_general(args):
-    job = _read_jobspec(args)
-    tower = _build_tower(job)
-    f = _build_poly(tower, job)
-    seed = _setting(args, job, "seed", 0)
-    d = _setting(args, job, "d", None)
-    if d is None:
-        raise InputError("count-general requires d")
+def cmd_count_general(f, settings):
+    d = settings["d"]
     m, squarefree_part = strip_inseparable(f)
-    count = latcount.count_right_components_general(f, d, seed=seed)
+    count = latcount.count_right_components_general(f, d, seed=settings["seed"])
     payload = {
         "d": d,
         "m": m,
@@ -136,33 +97,79 @@ def cmd_count_general(args):
     return payload, EXIT_OK
 
 
-def cmd_mhat(args):
-    n, r = args.n, args.r
-    if n is None or r is None:
-        raise InputError("mhat requires --n and --r")
+def cmd_mhat(f, settings):
+    n, r = settings["n"], settings["r"]
     return {"n": n, "r": r, "mhat": sorted(mhat(n, r))}, EXIT_OK
 
 
-def cmd_pi(args):
-    job = _read_jobspec(args)
-    tower = _build_tower(job)
-    f = _build_poly(tower, job)
-    t = _setting(args, job, "t", None)
-    if t is None:
-        raise InputError("pi requires t")
+def cmd_pi(f, settings):
+    t = settings["t"]
     pi = projective_part(f, t)
     rho = subadditive_image(f, t)
     return {"t": t, "pi": pi.encode(), "rho": rho.encode()}, EXIT_OK
 
 
-def cmd_verify(args):
-    job = _read_jobspec(args)
-    tower = _build_tower(job)
-    f = _build_poly(tower, job)
-    seed = _setting(args, job, "seed", 0)
-    max_ext = _setting(args, job, "max_ext", oracle.DEFAULT_MAX_EXT)
-    report = verify_report(f, seed=seed, max_ext=max_ext)
+def cmd_verify(f, settings):
+    report = verify_report(f, seed=settings["seed"], max_ext=settings["max_ext"])
     return report, EXIT_OK if report["all_pass"] else EXIT_INTERNAL
+
+
+REQUIRED = object()
+
+# command -> (function, help, {setting: default}). Each setting is an integer
+# with its own --flag; the flag wins over the JobSpec field of the same name,
+# which wins over the default. A REQUIRED setting has no default, and a None
+# default leaves the setting unset. Only mhat reads no JobSpec; count also has
+# the switch --all.
+COMMANDS = {
+    "species": (cmd_species, "rational Jordan form data of the Frobenius", {"seed": 0}),
+    "count": (cmd_count, "right-component and chain counts", {"seed": 0, "d": None}),
+    "count-general": (
+        cmd_count_general,
+        "counts for non-squarefree inputs",
+        {"seed": 0, "d": REQUIRED},
+    ),
+    "mhat": (
+        cmd_mhat,
+        "superset of achievable exponent-1 component counts",
+        {"n": REQUIRED, "r": REQUIRED},
+    ),
+    "pi": (cmd_pi, "projective and subadditive images for t dividing r-1", {"t": REQUIRED}),
+    "verify": (
+        cmd_verify,
+        "brute-force oracle report for one instance",
+        {"seed": 0, "max_ext": oracle.DEFAULT_MAX_EXT},
+    ),
+}
+
+
+def _load(args):
+    """The polynomial f (None for mhat) and the settings of one parsed command."""
+    f, job = None, {}
+    if args.command != "mhat":
+        job = _read_jobspec(args.input)
+        for key in ("p", "e", "k"):
+            if key not in job:
+                raise InputError(f"JobSpec is missing required field '{key}'")
+            _integer(key, job[key])
+        tower = tower_create(
+            job["p"], job["e"], job["k"], m_r=job.get("m_r"), m_q=job.get("m_q")
+        )
+        if "f" not in job:
+            raise InputError("JobSpec is missing the polynomial field 'f'")
+        f = AdditivePoly.from_json(tower, job["f"])
+    settings = {"all": getattr(args, "all", False)}
+    for name, default in COMMANDS[args.command][2].items():
+        value = getattr(args, name)
+        if value is None:
+            value = job.get(name)
+        if value is not None:
+            settings[name] = _integer(name, value)
+        elif default is REQUIRED:
+            raise InputError(f"{args.command} requires {name}")
+        else:
+            settings[name] = default
+    return f, settings
 
 
 def verify_report(f, seed=0, max_ext=oracle.DEFAULT_MAX_EXT):
@@ -178,8 +185,7 @@ def verify_report(f, seed=0, max_ext=oracle.DEFAULT_MAX_EXT):
 
     space = oracle.root_space(f, max_ext)
     n = f.exponent
-    form = rational_jordan_form(f, seed)
-    species = form.species
+    species = rational_jordan_form(f, seed).species
 
     tau_fstar = central_to_upoly(minimal_central_left_component(f))
     oracle_minpoly = oracle.minpoly_of_matrix(tower.fr, space.frobenius_matrix, seed)
@@ -192,7 +198,7 @@ def verify_report(f, seed=0, max_ext=oracle.DEFAULT_MAX_EXT):
     for d in range(n + 1):
         brute = len(oracle.right_components_brute(f, d, max_ext=max_ext))
         subspaces = len(oracle.invariant_subspaces(tower.fr, space.frobenius_matrix, d))
-        fast = latcount.count_right_components(f, d, seed=seed)
+        fast = latcount.count_from_species(species, r, d)
         check(f"right_components[d={d}]", brute, fast)
         check(f"subspace_bijection[d={d}]", brute, subspaces)
     check(
@@ -202,7 +208,7 @@ def verify_report(f, seed=0, max_ext=oracle.DEFAULT_MAX_EXT):
     )
     try:
         ore = latcount.ore_criterion_count(f)
-        check("ore_line_count", latcount.count_right_components(f, 1, seed=seed), ore)
+        check("ore_line_count", latcount.count_from_species(species, r, 1), ore)
     except BudgetExceeded:
         checks.append({"name": "ore_line_count", "pass": True, "skipped": "budget"})
     return {"all_pass": all(c["pass"] for c in checks), "checks": checks}
@@ -211,81 +217,39 @@ def verify_report(f, seed=0, max_ext=oracle.DEFAULT_MAX_EXT):
 def build_parser():
     parser = _Parser(prog="addpoly", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    for command, (_, help_text, settings) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command != "mhat":
             p.add_argument("--input", default="-", help="JobSpec JSON file, or - for stdin")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed (default 0)")
-        p.add_argument("--max-ext", dest="max_ext", type=int, default=None)
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
-
-    p = sub.add_parser("species", help="rational Jordan form data of the Frobenius")
-    common(p)
-    p.set_defaults(func=cmd_species)
-
-    p = sub.add_parser("count", help="right-component and chain counts")
-    common(p)
-    p.add_argument("--d", type=int, default=None, help="specific component exponent")
-    p.add_argument("--all", action="store_true", help="emit the whole generating function")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("count-general", help="counts for non-squarefree inputs")
-    common(p)
-    p.add_argument("--d", type=int, default=None)
-    p.set_defaults(func=cmd_count_general)
-
-    p = sub.add_parser("mhat", help="superset of achievable exponent-1 component counts")
-    common(p, needs_input=False)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.set_defaults(func=cmd_mhat)
-
-    p = sub.add_parser("pi", help="projective and subadditive images")
-    common(p)
-    p.add_argument("--t", type=int, default=None, help="positive divisor of r-1")
-    p.set_defaults(func=cmd_pi)
-
-    p = sub.add_parser("verify", help="brute-force oracle report for one instance")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
+        for name in settings:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
+        if command == "count":
+            p.add_argument("--all", action="store_true", help="emit the whole generating function")
     return parser
-
-
-def _emit(payload, pretty):
-    if pretty:
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
 
 
 def main(argv=None):
     pretty = False
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        pretty = bool(getattr(args, "pretty", False))
-        payload, code = args.func(args)
-    except InputError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
-        return EXIT_INPUT
-    except BudgetExceeded as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
-        return EXIT_BUDGET
-    except InternalInconsistency as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
-        return EXIT_INTERNAL
+        args = build_parser().parse_args(argv)
+        pretty = args.pretty
+        f, settings = _load(args)
+        payload, code = COMMANDS[args.command][0](f, settings)
     except AddpolyError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
-        return EXIT_INPUT
-    _emit(payload, pretty)
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = EXIT_INPUT
+        if isinstance(exc, BudgetExceeded):
+            code = EXIT_BUDGET
+        elif isinstance(exc, InternalInconsistency):
+            code = EXIT_INTERNAL
+    if pretty:
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    else:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    sys.stdout.write(text + "\n")
     return code
 
 
-def entry():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -393,21 +393,3 @@ def tower_create(p, e, k, m_r=None, m_q=None):
     degree, monicity and irreducibility.
     """
     return FieldTower(p, e, k, m_r=m_r, m_q=m_q)
-
-
-def frobenius(field, x, s):
-    """x^s for s a power of the field characteristic (s = 1 allowed)."""
-    p = field.char
-    t = s
-    if t < 1:
-        raise InputError(f"{s} is not a power of {p}")
-    while t % p == 0:
-        t //= p
-    if t != 1:
-        raise InputError(f"{s} is not a power of {p}")
-    return field.pow(x, s)
-
-
-def subfield_coerce(tower, x):
-    """Move an F_q element down to F_r, erroring if it does not lie there."""
-    return tower.coerce_q_to_r(x)

@@ -12,10 +12,10 @@ from functools import lru_cache
 
 from . import upoly
 from .additive import projective_part, strip_inseparable
-from .errors import InputError, InternalInconsistency
+from .errors import BudgetExceeded, InputError, InternalInconsistency
 from .frobjordan import rational_jordan_form
 
-Partition = tuple  # weakly decreasing positive integers
+MHAT_PARTITION_BUDGET = 1 << 18
 
 
 def q_bracket(n, b):
@@ -51,10 +51,26 @@ def mhat(n, r):
     """Superset of the achievable counts of exponent-1 right components.
 
     Built by closing {0} under bracket sums of partitions of every i <= n;
-    values that coincide numerically at this r are merged.
+    values that coincide numerically at this r are merged. The partitions are
+    counted first, by Euler's pentagonal recurrence, and more than
+    MHAT_PARTITION_BUDGET of them raise BudgetExceeded before any is listed.
     """
     if n < 0:
         raise InputError("n must be nonnegative")
+    p = [1]  # p[i] = number of partitions of i
+    for i in range(1, n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= i:
+            sign = 1 if k % 2 else -1
+            total += sign * p[i - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= i:
+                total += sign * p[i - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+        if sum(p) - 1 > MHAT_PARTITION_BUDGET:
+            raise BudgetExceeded(
+                f"mhat at n = {n} needs more than {MHAT_PARTITION_BUDGET} partitions"
+            )
     out = {0}
     for i in range(1, n + 1):
         for part in partitions(i):
@@ -241,20 +257,21 @@ def count_from_species(species, r, d):
 def count_right_components_general(f_general, d, seed=0):
     """Right-component count for an arbitrary monic additive polynomial.
 
-    Strips the inseparable part x^(r^m) and sums the squarefree counts over
-    the window d-m..d; empty above exponent n + m.
+    Strips the inseparable part x^(r^m) and sums the squarefree counts g_i
+    of the remaining f over the window d-m..d; empty above exponent n + m.
     """
     m, f = strip_inseparable(f_general)
-    if d < 0:
-        return 0
     n = f.exponent
-    total = 0
-    for i in range(max(0, d - m), min(d, n) + 1):
-        total += count_right_components(f, i, seed=seed)
-    return total
+    lo, hi = max(0, d - m), min(d, n)
+    if lo > hi:
+        return 0
+    if n == 0:
+        return 1
+    g = generating_function(rational_jordan_form(f, seed).species, f.tower.r)
+    return sum(g[lo : hi + 1])
 
 
-def ore_criterion_count(f, dense_cap=None):
+def ore_criterion_count(f):
     """Exponent-1 component count via roots of the projective image.
 
     Counts a in F_q* with projective_part(f, r-1)(a) = 0; each such root
@@ -264,7 +281,6 @@ def ore_criterion_count(f, dense_cap=None):
     if not f.is_monic or not f.is_squarefree:
         raise InputError("input must be monic squarefree")
     tower = f.tower
-    kwargs = {} if dense_cap is None else {"dense_cap": dense_cap}
-    pi = projective_part(f, tower.r - 1, **kwargs)
+    pi = projective_part(f, tower.r - 1)
     zero = tower.fq.zero
     return sum(1 for a in upoly.roots(pi) if a != zero)

@@ -70,12 +70,6 @@ def rank(field, rows):
     return len(rref(field, rows)[0])
 
 
-def nullity(field, rows):
-    if not rows:
-        return 0
-    return len(rows[0]) - rank(field, rows)
-
-
 def kernel(field, mat):
     """Basis of {v : mat.v = 0}, one vector per free column of the rref."""
     if not mat:

@@ -13,7 +13,6 @@ seeded random equal-degree splitting.
 """
 
 import random
-from itertools import product
 
 from .errors import BudgetExceeded, InputError, Overflow
 
@@ -460,16 +459,18 @@ def irreducible_polynomials(field, degree):
     """
     if degree < 1:
         raise InputError("degree must be >= 1")
-    if degree == 1:
-        heads = range(field.size)
-    else:
-        heads = range(1, field.size)  # a_0 = 0 would be divisible by y
-    for head in heads:
-        for tail in product(range(field.size), repeat=degree - 1):
-            coeffs = [field.from_index(i) for i in (head,) + tail] + [field.one]
-            u = UPoly(field, coeffs)
-            if is_irreducible(u):
-                yield u
+    size = field.size
+    # Candidate index: the base-size digits of a_0..a_(degree-1), a_0 the most
+    # significant; counted lazily, since a large prime field has no room for
+    # a list of its elements. For degree > 1, a_0 = 0 would be divisible by y.
+    for index in range(0 if degree == 1 else size ** (degree - 1), size**degree):
+        digits = []
+        for _ in range(degree):
+            index, digit = divmod(index, size)
+            digits.append(field.from_index(digit))
+        u = UPoly(field, digits[::-1] + [field.one])
+        if is_irreducible(u):
+            yield u
 
 
 def irreducible_polynomial(field, degree):

@@ -49,8 +49,9 @@ def test_species_malformed_coeffs(capsys, monkeypatch):
     assert "a_1" in err["message"] and "length" in err["message"]
 
 
-def test_species_wrong_r_exp(capsys, monkeypatch):
-    bad = json.dumps({"p": 2, "e": 1, "k": 2, "f": {"r_exp": 2, "coeffs": [[1, 0], [1, 0]]}})
+@pytest.mark.parametrize("r_exp", [2, True])
+def test_species_wrong_r_exp(capsys, monkeypatch, r_exp):
+    bad = json.dumps({"p": 2, "e": 1, "k": 2, "f": {"r_exp": r_exp, "coeffs": [[1, 0], [1, 0]]}})
     code, out = run(capsys, ["species"], stdin=bad, monkeypatch=monkeypatch)
     assert code == 2
     assert "r_exp" in json.loads(out)["error"]["message"]
@@ -95,7 +96,15 @@ def test_count_all_on_dimension_8_species(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, field, value",
-    [("count", "d", "1"), ("count", "d", True), ("count-general", "d", "1"), ("species", "seed", "x")],
+    [
+        ("count", "d", "1"),
+        ("count", "d", True),
+        ("count-general", "d", "1"),
+        ("species", "seed", "x"),
+        ("species", "p", True),
+        ("species", "e", True),
+        ("species", "k", True),
+    ],
 )
 def test_non_integer_setting_is_an_input_error(capsys, monkeypatch, command, field, value):
     job = jobspec_f4(X4_PLUS_X, **{field: value})
@@ -104,6 +113,45 @@ def test_non_integer_setting_is_an_input_error(capsys, monkeypatch, command, fie
     lines = out.splitlines()
     assert len(lines) == 1
     assert f"'{field}'" in json.loads(lines[0])["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
+        b'{"p": ' + b"1" * 5000 + b"}",  # an integer literal past 4300 digits
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_unparseable_jobspec_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "job.json"
+    path.write_bytes(text)
+    code, out = run(capsys, ["species", "--input", str(path)])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["species", "--max-ext", "3"],
+        ["count", "--max-ext", "3"],
+        ["count-general", "--d", "1", "--max-ext", "3"],
+        ["mhat", "--n", "2", "--r", "2", "--seed", "1"],
+        ["mhat", "--n", "2", "--r", "2", "--max-ext", "3"],
+        ["pi", "--t", "1", "--seed", "1"],
+        ["pi", "--t", "1", "--max-ext", "3"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_an_input_error(capsys, monkeypatch, argv):
+    code, out = run(capsys, argv, stdin=jobspec_f4(X4_PLUS_X), monkeypatch=monkeypatch)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert "unrecognized arguments" in json.loads(lines[0])["error"]["message"]
 
 
 def test_count_general(capsys, monkeypatch):
@@ -159,6 +207,43 @@ def test_missing_tower_field(capsys, monkeypatch):
     code, out = run(capsys, ["species"], stdin=json.dumps({"p": 2, "e": 1}), monkeypatch=monkeypatch)
     assert code == 2
     assert "k" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("n", ["200", "1000000000"])
+def test_mhat_past_its_partition_budget_is_exit_3(capsys, n):
+    code, out = run(capsys, ["mhat", "--n", n, "--r", "2"])
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "BudgetExceeded"
+
+
+def test_tower_over_a_large_prime_runs_in_bounded_memory():
+    # The construction search over F_p with p near 10^9 must not list the field;
+    # the address-space cap turns a regression into a MemoryError in the child.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    job = {"p": 1000000007, "e": 1, "k": 3, "f": {"r_exp": 1, "coeffs": [[1, 0, 0], [1, 0, 0]]}}
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from addpoly.cli import main\n"
+        "sys.exit(main(['species']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(job),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["species"] == [[1, [1]]]
 
 
 def test_pretty_output(capsys, monkeypatch):
