@@ -12,7 +12,6 @@ from .additive import (
     compose,
     evaluate,
     gcrc,
-    left_divmod,
     minimal_central_left_component,
     projective_part,
     right_divmod,
@@ -35,19 +34,13 @@ from .ffield import FieldTower, tower_create
 from .frobjordan import (
     RationalJordanForm,
     Species,
-    block_matrix,
-    companion_matrix,
-    jordan_block,
     lambdas_from_nullities,
-    nullity_sequence,
     rational_jordan_form,
 )
 from .latcount import (
-    GeneratingFunction,
     count_chains,
     count_lines,
     count_right_components,
-    count_right_components_general,
     depth_counts,
     generating_function,
     mhat,

@@ -201,36 +201,6 @@ def right_divmod(f, h):
     return AdditivePoly(tower, quot), AdditivePoly(tower, rem[:m])
 
 
-def left_divmod(f, h):
-    """(g, rem) with f = h o g + rem and expn(rem) < expn(h).
-
-    Solves for g coefficient by coefficient; the leading unknown appears
-    through an r^m-power, undone by the inverse Frobenius (exact here).
-    """
-    f._check(h)
-    if h.is_zero:
-        raise ZeroDivisionError("left division by the zero polynomial")
-    tower = f.tower
-    fq = tower.fq
-    zero = fq.zero
-    n, m = f.exponent, h.exponent
-    if n < m:
-        return AdditivePoly.zero(tower), f
-    rem = list(f.coeffs)
-    quot = [zero] * (n - m + 1)
-    for t in range(n, m - 1, -1):
-        c = rem[t]
-        if c == zero:
-            continue
-        gj = tower.frob_r(fq, fq.div(c, h.coeffs[m]), -m)
-        quot[t - m] = gj
-        for i in range(m + 1):
-            hi = h.coeffs[i]
-            if hi != zero:
-                rem[t - m + i] = fq.sub(rem[t - m + i], fq.mul(hi, tower.frob_r(fq, gj, i)))
-    return AdditivePoly(tower, quot), AdditivePoly(tower, rem[:m])
-
-
 def gcrc(f, g):
     """Monic greatest common right component, by the right-Euclidean algorithm."""
     f._check(g)
@@ -240,22 +210,6 @@ def gcrc(f, g):
     while not b.is_zero:
         a, b = b, right_divmod(a, b)[1]
     return a.monic()
-
-
-def is_central(f):
-    """Whether f lies in the centre F_r[x;q] of F_q[x;r]."""
-    tower = f.tower
-    k = tower.k
-    for i, c in enumerate(f.coeffs):
-        if i % k:
-            if c != tower.fq.zero:
-                return False
-        else:
-            try:
-                tower.coerce_q_to_r(c)
-            except NotInSubfield:
-                return False
-    return True
 
 
 def central_to_upoly(f):
@@ -384,35 +338,3 @@ def evaluate(f, alpha, field=None):
         if c != fq.zero:
             acc = field.add(acc, field.mul(tower.embed_q_to(field, c), cur))
     return acc
-
-
-def to_dense(f):
-    """Expand to an ordinary degree-r^n polynomial over F_q (gated; test/oracle use)."""
-    tower = f.tower
-    if f.is_zero:
-        return UPoly.zero(tower.fq)
-    r = tower.r
-    n = f.exponent
-    if r**n > DENSE_EXPANSION_CAP:
-        raise BudgetExceeded(f"dense expansion of degree r^{n} exceeds cap {DENSE_EXPANSION_CAP}")
-    coeffs = [tower.fq.zero] * (r**n + 1)
-    for i, c in enumerate(f.coeffs):
-        coeffs[r**i] = c
-    return UPoly(tower.fq, coeffs)
-
-
-def random_additive(tower, n, rng, monic=True, squarefree=True):
-    """Seeded random element of exponent n, monic squarefree by default."""
-    fq = tower.fq
-    if n < 0:
-        return AdditivePoly.zero(tower)
-    coeffs = [fq.random(rng) for _ in range(n + 1)]
-    if squarefree:
-        while coeffs[0] == fq.zero:
-            coeffs[0] = fq.random(rng)
-    if monic:
-        coeffs[-1] = fq.one
-    else:
-        while coeffs[-1] == fq.zero:
-            coeffs[-1] = fq.random(rng)
-    return AdditivePoly(tower, coeffs)

@@ -5,7 +5,7 @@ polynomial plus command parameters) arrives via --input FILE or stdin, and
 every exit path prints a single JSON document. Exit codes: 0 success,
 2 input error, 3 budget exceeded, 4 internal inconsistency.
 
-Identical JobSpec and seed produce byte-identical output.
+Identical JobSpecs produce byte-identical output.
 """
 
 import argparse
@@ -62,13 +62,13 @@ def _integer(name, value):
 
 
 def cmd_species(f, settings):
-    return rational_jordan_form(f, settings["seed"]).to_json(), EXIT_OK
+    return rational_jordan_form(f).to_json(), EXIT_OK
 
 
 def cmd_count(f, settings):
     if not f.is_monic or not f.is_squarefree:
         raise InputError("count expects a monic squarefree polynomial; see count-general")
-    species = rational_jordan_form(f, settings["seed"]).species
+    species = rational_jordan_form(f).species
     r = f.tower.r
     payload = {
         "species": species.to_json(),
@@ -77,7 +77,7 @@ def cmd_count(f, settings):
     }
     d = settings["d"]
     if d is None or settings["all"]:
-        payload["g"] = generating_function(species, r).to_json()
+        payload["g"] = generating_function(species, r)
     if d is not None:
         payload["d"] = d
         payload["g_d"] = latcount.count_from_species(species, r, d)
@@ -87,12 +87,11 @@ def cmd_count(f, settings):
 def cmd_count_general(f, settings):
     d = settings["d"]
     m, squarefree_part = strip_inseparable(f)
-    count = latcount.count_right_components_general(f, d, seed=settings["seed"])
     payload = {
         "d": d,
         "m": m,
         "n": squarefree_part.exponent,
-        "count": count,
+        "count": latcount.count_right_components(f, d),
     }
     return payload, EXIT_OK
 
@@ -110,7 +109,7 @@ def cmd_pi(f, settings):
 
 
 def cmd_verify(f, settings):
-    report = verify_report(f, seed=settings["seed"], max_ext=settings["max_ext"])
+    report = verify_report(f, max_ext=settings["max_ext"])
     return report, EXIT_OK if report["all_pass"] else EXIT_INTERNAL
 
 
@@ -122,13 +121,9 @@ REQUIRED = object()
 # default leaves the setting unset. Only mhat reads no JobSpec; count also has
 # the switch --all.
 COMMANDS = {
-    "species": (cmd_species, "rational Jordan form data of the Frobenius", {"seed": 0}),
-    "count": (cmd_count, "right-component and chain counts", {"seed": 0, "d": None}),
-    "count-general": (
-        cmd_count_general,
-        "counts for non-squarefree inputs",
-        {"seed": 0, "d": REQUIRED},
-    ),
+    "species": (cmd_species, "rational Jordan form data of the Frobenius", {}),
+    "count": (cmd_count, "right-component and chain counts", {"d": None}),
+    "count-general": (cmd_count_general, "counts for non-squarefree inputs", {"d": REQUIRED}),
     "mhat": (
         cmd_mhat,
         "superset of achievable exponent-1 component counts",
@@ -138,9 +133,13 @@ COMMANDS = {
     "verify": (
         cmd_verify,
         "brute-force oracle report for one instance",
-        {"seed": 0, "max_ext": oracle.DEFAULT_MAX_EXT},
+        {"max_ext": oracle.DEFAULT_MAX_EXT},
     ),
 }
+
+# A JobSpec holds the tower, the polynomial and settings; one JobSpec may serve
+# several commands, so a setting of any command is accepted, and nothing else.
+JOBSPEC_FIELDS = {"p", "e", "k", "m_r", "m_q", "f"}.union(*(s for _, _, s in COMMANDS.values()))
 
 
 def _load(args):
@@ -148,6 +147,9 @@ def _load(args):
     f, job = None, {}
     if args.command != "mhat":
         job = _read_jobspec(args.input)
+        unknown = sorted(set(job) - JOBSPEC_FIELDS)
+        if unknown:
+            raise InputError(f"JobSpec fields {unknown} are read by no command")
         for key in ("p", "e", "k"):
             if key not in job:
                 raise InputError(f"JobSpec is missing required field '{key}'")
@@ -172,7 +174,7 @@ def _load(args):
     return f, settings
 
 
-def verify_report(f, seed=0, max_ext=oracle.DEFAULT_MAX_EXT):
+def verify_report(f, max_ext=oracle.DEFAULT_MAX_EXT):
     """Compare every fast-path result against the brute-force oracle for one f."""
     tower = f.tower
     r = tower.r
@@ -185,14 +187,14 @@ def verify_report(f, seed=0, max_ext=oracle.DEFAULT_MAX_EXT):
 
     space = oracle.root_space(f, max_ext)
     n = f.exponent
-    species = rational_jordan_form(f, seed).species
+    species = rational_jordan_form(f).species
 
     tau_fstar = central_to_upoly(minimal_central_left_component(f))
-    oracle_minpoly = oracle.minpoly_of_matrix(tower.fr, space.frobenius_matrix, seed)
+    oracle_minpoly = oracle.minpoly_of_matrix(tower.fr, space.frobenius_matrix)
     check("minimal_polynomial", oracle_minpoly.encode(), tau_fstar.encode())
     check(
         "species",
-        oracle.species_from_matrix(tower.fr, space.frobenius_matrix, seed).to_json(),
+        oracle.species_from_matrix(tower.fr, space.frobenius_matrix).to_json(),
         species.to_json(),
     )
     for d in range(n + 1):

@@ -113,22 +113,7 @@ def _nullity_sequence(f, u, k):
     return nu
 
 
-def nullity_sequence(f, u, k):
-    """Kernel dimensions nu_j of u(Frobenius)^j on the root space, j = 0..k+1.
-
-    Each nu_j is the exponent of gcrc(f, the central preimage of u^j);
-    validates that u is an eigenfactor of f of multiplicity exactly k.
-    """
-    tau_fstar = central_to_upoly(minimal_central_left_component(f))
-    if not (tau_fstar % u**k).is_zero or (tau_fstar % u ** (k + 1)).is_zero:
-        raise InputError("u is not an eigenfactor of the stated multiplicity")
-    nu = _nullity_sequence(f, u, k)
-    if any(nu[j] > nu[j + 1] for j in range(k + 1)) or nu[k] != nu[k + 1]:
-        raise InternalInconsistency(f"nullity sequence {nu} is not monotone-stable")
-    return nu
-
-
-def rational_jordan_form(f, seed=0):
+def rational_jordan_form(f):
     """Species and block structure of the q-power Frobenius on the root space of f.
 
     Steps: minimal central left component, complete factorization of its
@@ -143,7 +128,7 @@ def rational_jordan_form(f, seed=0):
     tau_fstar = central_to_upoly(fstar)
     blocks = []
     nullities = []
-    for u, mult in upoly.factor(tau_fstar, seed):
+    for u, mult in upoly.factor(tau_fstar):
         nu = _nullity_sequence(f, u, mult)
         lams = lambdas_from_nullities(nu, u.degree)
         orders = []
@@ -161,94 +146,3 @@ def rational_jordan_form(f, seed=0):
             f"block dimensions sum to {form.dimension()}, expected {f.exponent}"
         )
     return form
-
-
-def companion_matrix(u):
-    """Companion matrix of a monic u: ones on the subdiagonal, -coeffs in the last column."""
-    if not u.is_monic or u.degree < 1:
-        raise InputError("companion matrix needs a monic polynomial of degree >= 1")
-    field = u.field
-    m = u.degree
-    mat = [[field.zero] * m for _ in range(m)]
-    for i in range(1, m):
-        mat[i][i - 1] = field.one
-    for i in range(m):
-        mat[i][m - 1] = field.neg(u.coeffs[i])
-    return mat
-
-
-def jordan_block(u, order):
-    """Rational Jordan block: `order` copies of the companion matrix chained by identities."""
-    if order < 1:
-        raise InputError("block order must be positive")
-    field = u.field
-    m = u.degree
-    comp = companion_matrix(u)
-    size = order * m
-    mat = [[field.zero] * size for _ in range(size)]
-    for b in range(order):
-        off = b * m
-        for i in range(m):
-            for j in range(m):
-                mat[off + i][off + j] = comp[i][j]
-        if b + 1 < order:
-            for i in range(m):
-                mat[off + i][off + m + i] = field.one
-    return mat
-
-
-def block_matrix(form):
-    """Explicit block-diagonal matrix over F_r realizing a rational Jordan form."""
-    field = form.field
-    pieces = []
-    for u, orders in form.blocks:
-        for order in orders:
-            pieces.append(jordan_block(u, order))
-    size = sum(len(p) for p in pieces)
-    mat = [[field.zero] * size for _ in range(size)]
-    off = 0
-    for piece in pieces:
-        for i, row in enumerate(piece):
-            mat[off + i][off : off + len(piece)] = row
-        off += len(piece)
-    return mat
-
-
-def realize_species(field, species):
-    """A rational Jordan form over `field` with the given species.
-
-    Eigenfactors are assigned in lexicographic order per degree; raises
-    InputError when the field has too few irreducibles of some degree.
-    """
-    need = {}
-    for m, _lam in species:
-        need[m] = need.get(m, 0) + 1
-    pool = {}
-    for m, count in need.items():
-        gen = upoly.irreducible_polynomials(field, m)
-        polys = []
-        try:
-            for _ in range(count):
-                polys.append(next(gen))
-        except StopIteration:
-            raise InputError(
-                f"species needs {count} distinct irreducibles of degree {m} over GF({field.size})"
-            ) from None
-        pool[m] = polys
-    blocks = []
-    for m, lam in species:
-        u = pool[m].pop(0)
-        orders = []
-        for j in range(len(lam), 0, -1):
-            orders.extend([j] * lam[j - 1])
-        blocks.append((u, tuple(orders)))
-    nullities = tuple(_nullities_from_orders(u.degree, orders) for u, orders in blocks)
-    return RationalJordanForm(field, tuple(blocks), nullities)
-
-
-def _nullities_from_orders(m, orders):
-    k = orders[0]
-    nu = [0]
-    for j in range(1, k + 2):
-        nu.append(m * sum(min(j, o) for o in orders))
-    return nu

@@ -1,14 +1,15 @@
 """Exact counting of invariant subspaces, chains, and right components.
 
 Every count is a closed form over the species: line counts are sums of
-q-brackets, maximal-chain counts a memoized recursion over quotient
-species, and full subspace generating functions Birkhoff's count of the
-submodules of one eigenfactor over the field of size r^m, recombined by
-the z -> z^m substitution and polynomial multiplication. All counts are
-arbitrary-precision integers.
+q-brackets, maximal-chain counts a multinomial times per-eigenfactor chain
+counts (a memoized recursion over quotient signatures), and full subspace
+generating functions Birkhoff's count of the submodules of one eigenfactor
+over the field of size r^m, recombined by the z -> z^m substitution and
+polynomial multiplication. All counts are arbitrary-precision integers.
 """
 
 from functools import lru_cache
+from math import comb
 
 from . import upoly
 from .additive import projective_part, strip_inseparable
@@ -87,30 +88,6 @@ def count_lines(species, r):
     return total
 
 
-class GeneratingFunction:
-    """Coefficients g_0..g_n counting invariant subspaces by dimension."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    def __getitem__(self, d):
-        return self.coeffs[d]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, GeneratingFunction) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"GeneratingFunction({list(self.coeffs)})"
-
-    def to_json(self):
-        return list(self.coeffs)
-
-
 def _poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -164,7 +141,7 @@ def generating_function(species, r):
         g = _poly_mul_int(g, spaced)
     if g != g[::-1] or g[0] != 1:
         raise InternalInconsistency(f"generating function {g} is not palindromic")
-    return GeneratingFunction(g)
+    return tuple(g)
 
 
 def depth_counts(lam, i, base):
@@ -191,54 +168,51 @@ def quotient_species(lam, i):
 
 
 @lru_cache(maxsize=None)
-def _chains(entries, r):
-    if not entries:
+def _chains(lam, base):
+    """Maximal chains of submodules of one eigenfactor of signature lam over GF(base)."""
+    if not lam:
         return 1
-    total = 0
-    seen = set()
-    for idx, (m, lam) in enumerate(entries):
-        if (m, lam) in seen:
-            continue  # identical signatures contribute identically
-        seen.add((m, lam))
-        mult = entries.count((m, lam))
-        rest = list(entries)
-        rest.remove((m, lam))
-        base = r**m
-        for i in range(1, len(lam) + 1):
-            if lam[i - 1] == 0:
-                continue
-            count = depth_counts(lam, i, base)
-            qlam = quotient_species(lam, i)
-            child = rest + ([(m, qlam)] if qlam else [])
-            total += mult * count * _chains(tuple(sorted(child)), r)
-    return total
+    return sum(
+        depth_counts(lam, i, base) * _chains(quotient_species(lam, i), base)
+        for i in range(1, len(lam) + 1)
+        if lam[i - 1]
+    )
 
 
 def count_chains(species, r):
     """Number of maximal chains of invariant subspaces (complete decompositions).
 
-    Memoized recursion over species multisets: each step quotients by one
-    minimal invariant subspace, whose count depends on its depth, with
-    bracket base r^m for an eigenfactor of degree m.
+    The lattice is the product of its per-eigenfactor lattices, and a maximal
+    chain of a product is a shuffle of maximal chains of the factors. So the
+    count is the multinomial (sum l_i)! / prod l_i! of the composition lengths
+    l_i = sum_j j lambda_j, times the chains of each eigenfactor: a memoized
+    recursion that quotients by one minimal submodule at a time, whose count
+    depends on its depth, with bracket base r^m.
     """
-    return _chains(tuple(species), r)
+    total, length = 1, 0
+    for m, lam in species:
+        li = sum(j * c for j, c in enumerate(lam, start=1))
+        length += li
+        total *= comb(length, li) * _chains(lam, r**m)
+    return total
 
 
-def count_right_components(f, d, seed=0):
-    """Number of monic right components of exponent d of a monic squarefree f.
+def count_right_components(f_general, d):
+    """Number of monic right components of exponent d of a monic f.
 
-    Zero outside 0 <= d <= n; closed forms serve d in {0, 1, n-1, n}; other
-    dimensions read g_d off the generating function.
+    Strips the inseparable part x^(r^m) and sums the counts g_i of the
+    remaining squarefree f over the window d-m..d; empty above exponent
+    n + m. For a squarefree f (m = 0) this is g_d.
     """
-    if not f.is_monic or not f.is_squarefree:
-        raise InputError("input must be monic squarefree")
+    m, f = strip_inseparable(f_general)
     n = f.exponent
-    if d < 0 or d > n:
+    lo, hi = max(0, d - m), min(d, n)
+    if lo > hi:
         return 0
-    if d in (0, n):
+    if n == 0:
         return 1
-    species = rational_jordan_form(f, seed).species
-    return count_from_species(species, f.tower.r, d)
+    g = generating_function(rational_jordan_form(f).species, f.tower.r)
+    return sum(g[lo : hi + 1])
 
 
 def count_from_species(species, r, d):
@@ -252,23 +226,6 @@ def count_from_species(species, r, d):
     if d == 1 or d == n - 1:  # the lattice is self-dual, so g_(n-1) = g_1
         return count_lines(species, r)
     return generating_function(species, r)[d]
-
-
-def count_right_components_general(f_general, d, seed=0):
-    """Right-component count for an arbitrary monic additive polynomial.
-
-    Strips the inseparable part x^(r^m) and sums the squarefree counts g_i
-    of the remaining f over the window d-m..d; empty above exponent n + m.
-    """
-    m, f = strip_inseparable(f_general)
-    n = f.exponent
-    lo, hi = max(0, d - m), min(d, n)
-    if lo > hi:
-        return 0
-    if n == 0:
-        return 1
-    g = generating_function(rational_jordan_form(f, seed).species, f.tower.r)
-    return sum(g[lo : hi + 1])
 
 
 def ore_criterion_count(f):

@@ -27,6 +27,7 @@ from .latcount import gaussian_binomial
 from .upoly import UPoly
 
 DEFAULT_MAX_EXT = 32
+MAX_EXT_LIMIT = 64  # order_of_y_mod and the extension field grow fast past this
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_POINT_BUDGET = 1 << 20
 
@@ -53,8 +54,11 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
     """Materialize V_f inside F_(q^E), E the order of y modulo the central image.
 
     The kernel of f as an F_r-linear map on F_(q^E) is extracted by Gaussian
-    elimination and must have dimension equal to the exponent of f.
+    elimination and must have dimension equal to the exponent of f. A cap
+    max_ext outside 1..MAX_EXT_LIMIT is an input error.
     """
+    if not 1 <= max_ext <= MAX_EXT_LIMIT:
+        raise InputError(f"max_ext {max_ext} is outside 1..{MAX_EXT_LIMIT}")
     if not f.is_monic or not f.is_squarefree:
         raise InputError("input must be monic squarefree")
     tower = f.tower
@@ -337,7 +341,7 @@ def _quotient_matrix(field, mat, sub):
     return [[cols[j][i] for j in range(len(nonpiv))] for i in range(len(nonpiv))]
 
 
-def minpoly_of_matrix(field, mat, seed=0):
+def minpoly_of_matrix(field, mat):
     """Minimal polynomial via per-basis-vector Krylov closures and lcm."""
     n = len(mat)
     result = UPoly.one(field)
@@ -351,15 +355,15 @@ def minpoly_of_matrix(field, mat, seed=0):
     return result.monic()
 
 
-def species_from_matrix(field, mat, seed=0):
+def species_from_matrix(field, mat):
     """Species read directly off a matrix: factor the minimal polynomial and
     take second differences of the nullity sequences of eigenfactor powers."""
     n = len(mat)
     if n == 0:
         return Species(())
-    minpoly = minpoly_of_matrix(field, mat, seed)
+    minpoly = minpoly_of_matrix(field, mat)
     items = []
-    for u, mult in upoly.factor(minpoly, seed):
+    for u, mult in upoly.factor(minpoly):
         u_at = _poly_at_matrix(field, u, mat)
         nu = [0]
         power = linalg.identity(field, n)

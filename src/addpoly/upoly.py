@@ -9,7 +9,7 @@ package (zero/one attributes, add/sub/neg/mul/inv/div/pow, size, char,
 from_index/to_index, elements, encode/decode); see ffield for the concrete
 implementations. Factorization is complete over any such field: squarefree
 decomposition with p-th-root descent, distinct-degree splitting, then
-seeded random equal-degree splitting.
+random equal-degree splitting from a fixed generator state.
 """
 
 import random
@@ -88,13 +88,6 @@ class UPoly:
     def derivative(self):
         f = self.field
         return UPoly(f, [f.mul(f.from_int(i), c) for i, c in enumerate(self.coeffs)][1:])
-
-    def substitute(self, other):
-        """Plain composition self(other)."""
-        acc = UPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * other + UPoly.constant(self.field, c)
-        return acc
 
     def shift(self, n):
         """Multiply by y^n."""
@@ -378,16 +371,16 @@ def _equal_degree(g, d, rng):
             return _equal_degree(c, d, rng) + _equal_degree(g // c, d, rng)
 
 
-def factor(u, seed=0):
+def factor(u):
     """Complete factorization into monic irreducibles with multiplicities.
 
-    The result is sorted by (degree, coefficient indices) and two calls with
-    the same seed produce identical output; the seed only drives the random
-    equal-degree splitting.
+    The result is sorted by (degree, coefficient indices). The random
+    equal-degree splitting always starts from random.Random(0), and the
+    factorization is unique, so the output depends on u alone.
     """
     if u.is_zero:
         raise InputError("cannot factor the zero polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     found = {}
     for part, mult in squarefree_decomposition(u):
         for prod_, d in _distinct_degree(part):

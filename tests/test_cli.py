@@ -115,6 +115,16 @@ def test_non_integer_setting_is_an_input_error(capsys, monkeypatch, command, fie
     assert f"'{field}'" in json.loads(lines[0])["error"]["message"]
 
 
+@pytest.mark.parametrize("key, value", [("sed", 5), ("seed", 0)])
+def test_jobspec_field_no_command_reads_is_an_input_error(capsys, monkeypatch, key, value):
+    job = jobspec_f4(X4_PLUS_X, **{key: value})
+    code, out = run(capsys, ["species"], stdin=job, monkeypatch=monkeypatch)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert f"'{key}'" in json.loads(lines[0])["error"]["message"]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -144,6 +154,10 @@ def test_unparseable_jobspec_is_an_input_error(capsys, tmp_path, text):
         ["mhat", "--n", "2", "--r", "2", "--max-ext", "3"],
         ["pi", "--t", "1", "--seed", "1"],
         ["pi", "--t", "1", "--max-ext", "3"],
+        ["species", "--seed", "0"],
+        ["count", "--seed", "0"],
+        ["count-general", "--d", "1", "--seed", "0"],
+        ["verify", "--seed", "0"],
     ],
 )
 def test_flag_the_command_does_not_read_is_an_input_error(capsys, monkeypatch, argv):
@@ -188,9 +202,34 @@ def test_verify_x4_plus_x(capsys, monkeypatch):
     assert all(check["pass"] for check in payload["checks"])
 
 
+def _jobspec_f2(coeffs):
+    return json.dumps({"p": 2, "e": 1, "k": 1, "f": {"r_exp": 1, "coeffs": coeffs}})
+
+
+@pytest.mark.parametrize("max_ext", ["5000", "0"])
+def test_verify_max_ext_outside_its_range_is_an_input_error(capsys, monkeypatch, max_ext):
+    import time
+
+    job = _jobspec_f2([1, 0, 1] + [0] * 8 + [1])  # x^(2^11) + x^4 + x, order 2047
+    t0 = time.perf_counter()
+    code, out = run(capsys, ["verify", "--max-ext", max_ext], stdin=job, monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert "max_ext" in json.loads(lines[0])["error"]["message"]
+
+
+def test_verify_at_the_max_ext_limit(capsys, monkeypatch):
+    job = _jobspec_f2([1, 1, 0, 0, 0, 0, 1])  # x^(2^6) + x^2 + x
+    code, out = run(capsys, ["verify", "--max-ext", "64"], stdin=job, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
 def test_byte_identical_output(capsys, monkeypatch, tmp_path):
     path = tmp_path / "job.json"
-    path.write_text(jobspec_f4(X16_PLUS_X, seed=5))
+    path.write_text(jobspec_f4(X16_PLUS_X))
     code1, out1 = run(capsys, ["count", "--input", str(path)])
     code2, out2 = run(capsys, ["count", "--input", str(path)])
     assert code1 == code2 == 0
@@ -255,10 +294,11 @@ def test_pretty_output(capsys, monkeypatch):
 def _verify_sample(tw, exponents, ext_cap, trials, seed):
     import random
 
-    from addpoly.additive import central_to_upoly, minimal_central_left_component, random_additive
+    from addpoly.additive import central_to_upoly, minimal_central_left_component
     from addpoly.cli import verify_report
     from addpoly.errors import Overflow
     from addpoly.upoly import order_of_y_mod
+    from helpers import random_additive
 
     rng = random.Random(seed)
     done = 0
