@@ -45,11 +45,6 @@ class AdditivePoly:
         """The composition identity x."""
         return cls(tower, (tower.fq.one,))
 
-    @classmethod
-    def x_rpower(cls, tower, m):
-        """The polynomial x^(r^m)."""
-        return cls(tower, (tower.fq.zero,) * m + (tower.fq.one,))
-
     @property
     def exponent(self):
         """n with deg = r^n; -1 for the zero polynomial."""

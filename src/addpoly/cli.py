@@ -198,7 +198,7 @@ def verify_report(f, max_ext=oracle.DEFAULT_MAX_EXT):
         species.to_json(),
     )
     for d in range(n + 1):
-        brute = len(oracle.right_components_brute(f, d, max_ext=max_ext))
+        brute = len(oracle.right_components_brute(space, d))
         subspaces = len(oracle.invariant_subspaces(tower.fr, space.frobenius_matrix, d))
         fast = latcount.count_from_species(species, r, d)
         check(f"right_components[d={d}]", brute, fast)

@@ -4,6 +4,7 @@ Everything here is computed from the additive polynomial alone: the minimal
 central left component gives the minimal polynomial of the Frobenius, and
 per-eigenfactor kernel dimensions come from gcrc computations, so the root
 space itself (which may live in an enormous extension) is never touched.
+When k = 1 the species is read off one factorization of u_f = sum a_i y^i.
 """
 
 from dataclasses import dataclass
@@ -121,15 +122,20 @@ def rational_jordan_form(f):
     eigenfactor. The u^j are built incrementally, and nu_(k+1) is computed
     even though the sequence stabilizes at k, keeping the second-difference
     formula uniform at j = k.
+    When k = 1 the ring is commutative, f* = f and the root space is the
+    cyclic module F_r[y]/(u_f) (Ore 1933), so nu_j = deg u * min(j, mult).
     """
     if not f.is_monic or not f.is_squarefree or f.exponent < 1:
         raise InputError("input must be monic squarefree of exponent >= 1")
-    fstar = minimal_central_left_component(f)
-    tau_fstar = central_to_upoly(fstar)
+    cyclic = f.tower.k == 1
+    tau_fstar = central_to_upoly(f if cyclic else minimal_central_left_component(f))
     blocks = []
     nullities = []
     for u, mult in upoly.factor(tau_fstar):
-        nu = _nullity_sequence(f, u, mult)
+        if cyclic:
+            nu = [u.degree * min(j, mult) for j in range(mult + 2)]
+        else:
+            nu = _nullity_sequence(f, u, mult)
         lams = lambdas_from_nullities(nu, u.degree)
         orders = []
         for j in range(len(lams), 0, -1):

@@ -36,9 +36,8 @@ DEFAULT_POINT_BUDGET = 1 << 20
 class RootSpace:
     """Explicit root space: extension degree, F_r-basis, and the Frobenius matrix.
 
-    basis[j] is an element of F_(q^E) whose F_r-coordinate row is
-    basis_coords[j]; frobenius_matrix column j holds the coordinates of
-    sigma_q(basis[j]) in that basis.
+    basis[j] is an element of F_(q^E); frobenius_matrix column j holds the
+    coordinates of sigma_q(basis[j]) in that basis.
     """
 
     tower: object
@@ -46,7 +45,6 @@ class RootSpace:
     ext_degree: int
     field: object
     basis: tuple
-    basis_coords: tuple
     frobenius_matrix: tuple
 
 
@@ -97,7 +95,7 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
             raise InternalInconsistency("Frobenius image left the root space")
         cols.append(coords)
     frob = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return RootSpace(tower, f, ext_degree, field, basis, tuple(tuple(r) for r in rows), frob)
+    return RootSpace(tower, f, ext_degree, field, basis, frob)
 
 
 def invariant_subspaces(field, mat, d, enum_budget=DEFAULT_ENUM_BUDGET):
@@ -152,16 +150,15 @@ def _is_invariant(field, mat, rows, pivots):
     return True
 
 
-def right_components_brute(f, d, max_ext=DEFAULT_MAX_EXT, enum_budget=DEFAULT_ENUM_BUDGET):
-    """All exponent-d right components, rebuilt as literal root products.
+def right_components_brute(space, d, enum_budget=DEFAULT_ENUM_BUDGET):
+    """All exponent-d right components of space.poly, rebuilt as literal root products.
 
     For each invariant d-subspace W of the root space, expands
     prod_(alpha in W) (x - alpha) over the extension, checks that only
     r-power exponents survive and that every coefficient descends to F_q,
     and certifies the result by an exact right division.
     """
-    space = root_space(f, max_ext)
-    tower = f.tower
+    f, tower = space.poly, space.tower
     fq, fr = tower.fq, tower.fr
     field = space.field
     n = f.exponent

@@ -12,11 +12,12 @@ decomposition with p-th-root descent, distinct-degree splitting, then
 random equal-degree splitting from a fixed generator state.
 """
 
+import functools
 import random
+from itertools import repeat
 
 from .errors import BudgetExceeded, InputError, Overflow
 
-KARATSUBA_CUTOFF = 32
 DEFAULT_ORDER_CAP = 1 << 16
 DEFAULT_ROOT_SCAN_CAP = 1 << 16
 
@@ -119,7 +120,13 @@ class UPoly:
 
     def __mul__(self, other):
         self._check(other)
-        return UPoly(self.field, _mul_lists(self.field, list(self.coeffs), list(other.coeffs)))
+        f, p, a, b = self.field, self.field.char, self.coeffs, other.coeffs
+        if f.size != p or not a or not b:
+            return UPoly(f, _mul_schoolbook(f, a, b))
+        if p == 2:
+            return UPoly(f, _from_mask(_clmul(_to_mask(a), _to_mask(b))))
+        s = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1  # no slot carries
+        return UPoly(f, _unpack(p, _pack(p, a, s) * _pack(p, b, s), len(a) + len(b) - 1, s))
 
     def __pow__(self, n):
         if n < 0:
@@ -140,6 +147,9 @@ class UPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.degree < other.degree:
             return UPoly.zero(f), self
+        if f.size == f.char:
+            quot, rem = _divmod_prime(f.char, self.coeffs, other.coeffs)
+            return UPoly(f, quot), UPoly(f, rem)
         rem = list(self.coeffs)
         dn, dm = self.degree, other.degree
         inv_lc = f.inv(other.lc)
@@ -200,47 +210,99 @@ def _mul_schoolbook(field, a, b):
     return out
 
 
-def _list_add(field, a, b):
-    if len(a) < len(b):
+# Packed arithmetic over a prime field F_p (the idiom of NTL's GF2X and of the
+# galois package). Over F_2 a polynomial is a bit mask: bit i holds the
+# coefficient of y^i. Over odd p the coefficients are base-256^s digits of
+# one int, s bytes per slot, wide enough that no slot carries. Packing and
+# unpacking go through bytes and int conversions, not a loop per coefficient.
+_TO_BITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _to_mask(coeffs):
+    return int(bytes(coeffs[::-1]).translate(_TO_BITS), 2) if coeffs else 0
+
+
+def _from_mask(x):
+    return tuple(bin(x)[:1:-1].encode().translate(_FROM_BITS))
+
+
+def _clmul(a, b):
+    """Carry-less product of two bit masks."""
+    if a.bit_length() < b.bit_length():
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
+    out = 0
+    for i, bit in enumerate(bin(b)[:1:-1]):
+        if bit == "1":
+            out ^= a << i
     return out
 
 
-def _list_sub(field, a, b):
-    out = list(a) + [field.zero] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = field.sub(out[i], c)
-    return out
+def _mask_divmod(a, b):
+    """Quotient and remainder of bit masks, b nonzero: shifted-xor long division."""
+    quot, db = 0, b.bit_length()
+    while a.bit_length() >= db:
+        shift = a.bit_length() - db
+        quot |= 1 << shift
+        a ^= b << shift
+    return quot, a
 
 
-def _mul_lists(field, a, b):
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) <= KARATSUBA_CUTOFF:
-        return _mul_schoolbook(field, a, b)
-    h = max(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_lists(field, a0, b0) if a0 and b0 else []
-    z2 = _mul_lists(field, a1, b1) if a1 and b1 else []
-    s1 = _list_add(field, a0, a1)
-    s2 = _list_add(field, b0, b1)
-    z1 = _list_sub(field, _mul_lists(field, s1, s2), _list_add(field, z0, z2))
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] = field.add(out[i], c)
-    for i, c in enumerate(z1):
-        out[i + h] = field.add(out[i + h], c)
-    for i, c in enumerate(z2):
-        out[i + 2 * h] = field.add(out[i + 2 * h], c)
-    return out
+@functools.cache
+def _residues(p, j):
+    """Translation table: byte b to (b * 256^j) mod p."""
+    return bytes((b << 8 * j) % p for b in range(256))
+
+
+def _pack(p, coeffs, s):
+    if s * p < 256:
+        buf = bytearray(len(coeffs) * s)
+        buf[::s] = bytes(coeffs)
+        return int.from_bytes(buf, "little")
+    return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(s), repeat("little"))), "little")
+
+
+def _unpack(p, x, length, s):
+    """The low `length` slots of x, each reduced mod p."""
+    raw = x.to_bytes(length * s, "little")
+    if s * p < 256:
+        # sum the byte planes' residues; each sum stays below 256, so no carries
+        acc = sum(int.from_bytes(raw[j::s].translate(_residues(p, j)), "little") for j in range(s))
+        return tuple(acc.to_bytes(length, "little").translate(_residues(p, 0)))
+    cuts = range(0, len(raw) + 1, s)
+    slots = map(raw.__getitem__, map(slice, cuts, cuts[1:]))
+    return tuple(map(p.__rmod__, map(int.from_bytes, slots, repeat("little"))))
+
+
+def _divmod_prime(p, a, b):
+    """Long division of a by b (len(a) >= len(b) >= 1), one slot update per quotient term."""
+    if p == 2:
+        quot, rem = _mask_divmod(_to_mask(a), _to_mask(b))
+        return _from_mask(quot), _from_mask(rem)
+    dm, dq = len(b) - 1, len(a) - len(b)
+    # Each slot takes at most dq + 1 additions of c * (p - b_i) below p^2.
+    s = (p + (dq + 1) * p * (p - 1)).bit_length() // 8 + 1
+    w = 8 * s
+    rem = _pack(p, a, s)
+    # p - b_i in every slot of -b (a slot holding p still reads 0 mod p)
+    neg = p * ((1 << w * dm) - 1) // ((1 << w) - 1) - _pack(p, b[:-1], s)
+    inv_lc = pow(b[-1], p - 2, p)
+    quot = [0] * (dq + 1)
+    for shift in range(dq, -1, -1):
+        c = (rem >> w * (shift + dm)) % (1 << w) * inv_lc % p
+        if c:
+            quot[shift] = c
+            rem += c * neg << w * shift
+    return tuple(quot), _unpack(p, rem & (1 << w * dm) - 1, dm, s)
 
 
 def gcd(a, b):
     """Monic greatest common divisor."""
+    if a.field.size == 2:
+        x, y = _to_mask(a.coeffs), _to_mask(b.coeffs)
+        while y:
+            x, y = y, _mask_divmod(x, y)[1]
+        return UPoly(a.field, _from_mask(x))
     while not b.is_zero:
         a, b = b, a % b
     return a.monic() if not a.is_zero else a

@@ -111,7 +111,7 @@ def test_criterion_3_bijection_audit():
     for tw, f in _reachable_corpus():
         for d in range(f.exponent + 1):
             fast = count_right_components(f, d)
-            brute = len(right_components_brute(f, d))
+            brute = len(right_components_brute(root_space(f), d))
             assert fast == brute, (tw, f, d, fast, brute)
         audited += 1
     elapsed = time.perf_counter() - t0
@@ -219,6 +219,21 @@ def test_criterion_7_polynomial_scaling(tmp_path):
         + ", ".join(f"{t:.2f}s (n={n})" for n, t in sorted(times.items()))
         + " while deg f = 2^256",
     )
+
+
+def test_skew_path_scaling_with_a_coefficient_outside_f_r(tmp_path):
+    # x^(2^n) + g x over F_4[x;2], g = [0, 1] the generator of F_4: g is not in
+    # F_2, so the species still comes from mclc, factorization and gcrc nullities
+    budgets = {64: 5.0, 256: 120.0}
+    for n, budget in budgets.items():
+        coeffs = [[0, 1]] + [[0, 0]] * (n - 1) + [[1, 0]]
+        job = {"p": 2, "e": 1, "k": 2, "f": {"r_exp": 1, "coeffs": coeffs}}
+        t0 = time.perf_counter()
+        code, payload = _cli(tmp_path, f"skew_{n}.json", job, ["species"])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert payload["species"] == [[2, [0] * (n // 2 - 1) + [1]]]
+        assert elapsed < budget
 
 
 def test_criterion_8_property_suites():

@@ -5,9 +5,11 @@ from addpoly.errors import InputError, Overflow
 from addpoly.frobjordan import (
     RationalJordanForm,
     Species,
+    _nullity_sequence,
     lambdas_from_nullities,
     rational_jordan_form,
 )
+from addpoly.upoly import factor
 from addpoly.oracle import minpoly_of_matrix, root_space, species_from_matrix
 from addpoly.upoly import UPoly, order_of_y_mod
 from corpus import additive, all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
@@ -147,3 +149,26 @@ def test_species_agreement_and_dimension_audit():
         assert form.dimension() == f.exponent
         space = root_space(f)
         assert species_from_matrix(tw.fr, space.frobenius_matrix) == form.species
+
+
+def _k1_cases():
+    for p, e in ((2, 1), (3, 1), (2, 2)):
+        tw = tower(p, e, 1)
+        for n in range(1, 5):
+            yield from all_monic_squarefree(tw, n)
+    for n in range(1, 65):
+        yield x_rpow_plus_x(T2, n)
+
+
+def test_skew_path_agrees_with_the_k1_read_off():
+    # At k = 1, rational_jordan_form skips mclc and the gcrc nullities; the
+    # skew algorithm must still give f* = f and the closed-form nullities.
+    checked = 0
+    for f in _k1_cases():
+        tau = UPoly(f.tower.fr, f.coeffs)
+        assert central_to_upoly(minimal_central_left_component(f)) == tau
+        for u, mult in factor(tau):
+            closed = [u.degree * min(j, mult) for j in range(mult + 2)]
+            assert _nullity_sequence(f, u, mult) == closed, (f, u, mult)
+        checked += 1
+    assert checked == 15 + 80 + 255 + 64
