@@ -9,9 +9,8 @@ from addpoly.frobjordan import (
     lambdas_from_nullities,
     rational_jordan_form,
 )
-from addpoly.upoly import factor
 from addpoly.oracle import minpoly_of_matrix, root_space, species_from_matrix
-from addpoly.upoly import UPoly, order_of_y_mod
+from addpoly.upoly import UPoly, factor, order_of_y_mod
 from corpus import additive, all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
 from helpers import block_matrix, companion_matrix, jordan_block, nullity_sequence, realize_species
 
