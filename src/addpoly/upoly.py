@@ -210,11 +210,11 @@ def _mul_schoolbook(field, a, b):
     return out
 
 
-# Packed arithmetic over a prime field F_p (the idiom of NTL's GF2X and of the
-# galois package). Over F_2 a polynomial is a bit mask: bit i holds the
-# coefficient of y^i. Over odd p the coefficients are base-256^s digits of
-# one int, s bytes per slot, wide enough that no slot carries. Packing and
-# unpacking go through bytes and int conversions, not a loop per coefficient.
+# Packed arithmetic over F_p (the idiom of NTL's GF2X). Over F_2 a polynomial
+# is a bit mask: bit i holds the coefficient of y^i. Over odd p the
+# coefficients are s-byte slots of one int, wide enough that no slot carries,
+# converted by bytes and int builtins. When s * p < 256, translation tables
+# reduce whole byte planes: twice as fast as slot by slot on F_3 and F_5.
 _TO_BITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_BITS = bytes.maketrans(b"01", b"\0\1")
 

@@ -10,12 +10,39 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def _bound(replay):
+    return [(module, attr.split(".")[0]) for module, attr, _, _ in replay.SPANS]
+
+
 def test_every_span_target_is_bound(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import replay
 
-    bound = [(module, attr.split(".")[0]) for module, attr, _, _ in replay.SPANS]
+    bound = _bound(replay)
     before = [getattr(module, name) for module, name in bound]
     with replay.Recorder().installed():
         pass
+    assert [getattr(module, name) for module, name in bound] == before
+
+
+def test_traced_setup_job_prints_what_the_cli_prints(monkeypatch):
+    """Each workload's setup job gives the same exit code and stdout with the
+    span wrappers installed as without; mclc is traced wherever k > 1 (at
+    k = 1 the species is read off u_f and mclc does not run)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import replay
+    import run
+    import workloads
+
+    bound = _bound(replay)
+    before = [getattr(module, name) for module, name in bound]
+    for name in workloads.WORKLOADS:
+        job, _ = workloads.generate(name, 0)
+        code, out, _ = run.run_cli(job)
+        rec = replay.Recorder()
+        with rec.installed():
+            assert run.run_cli(job, rec)[:2] == (code, out)
+        spans = {span[0] for span in rec.spans}
+        assert spans >= {"cli", "ffield.tower"}
+        assert ("additive.mclc" in spans) == (job.tower_key[2] > 1)
     assert [getattr(module, name) for module, name in bound] == before
