@@ -111,12 +111,6 @@ class AdditivePoly:
     def __repr__(self):
         return f"AdditivePoly({[self.tower.fq.encode(c) for c in self.coeffs]})"
 
-    def compose(self, other):
-        return compose(self, other)
-
-    def evaluate(self, alpha, field=None):
-        return evaluate(self, alpha, field)
-
     def to_json(self):
         fq = self.tower.fq
         return {"r_exp": self.tower.e, "coeffs": [fq.encode(c) for c in self.coeffs]}
@@ -150,14 +144,12 @@ def compose(g, h):
     zero = fq.zero
     out = [zero] * (g.exponent + h.exponent + 1)
     twisted = list(h.coeffs)
+    width = len(twisted)
     for i, gi in enumerate(g.coeffs):
         if i:
             twisted = [tower.frob_r(fq, c, 1) for c in twisted]
-        if gi == zero:
-            continue
-        for j, hj in enumerate(twisted):
-            if hj != zero:
-                out[i + j] = fq.add(out[i + j], fq.mul(gi, hj))
+        if gi != zero:
+            out[i : i + width] = fq.vec_submul(out[i : i + width], fq.neg(gi), twisted)
     return AdditivePoly(tower, out)
 
 
@@ -177,22 +169,17 @@ def right_divmod(f, h):
     if n < m:
         return AdditivePoly.zero(tower), f
     order = tower.sigma_r_order(fq)
-    inv_frob = tower.r ** (order - 1)  # exponent of the inverse r-power Frobenius
+    # step s subtracts g_s x^(r^s) o h, whose coefficients h_i^(r^s) repeat with period order
+    twists = [[tower.frob_r(fq, c, s) for c in h.coeffs] for s in range(min(order, n - m + 1))]
     rem = list(f.coeffs)
     quot = [zero] * (n - m + 1)
-    twisted = [tower.frob_r(fq, c, n - m) for c in h.coeffs]
-    sub, mul = fq.sub, fq.mul
     for s in range(n - m, -1, -1):
         top = rem[s + m]
         if top != zero:
+            twisted = twists[s % order]
             g = fq.div(top, twisted[m])
             quot[s] = g
-            for i in range(m + 1):
-                ti = twisted[i]
-                if ti != zero:
-                    rem[s + i] = sub(rem[s + i], mul(g, ti))
-        if s and order > 1:
-            twisted = [c if c == zero else fq.pow(c, inv_frob) for c in twisted]
+            rem[s : s + m + 1] = fq.vec_submul(rem[s : s + m + 1], g, twisted)
     return AdditivePoly(tower, quot), AdditivePoly(tower, rem[:m])
 
 
@@ -233,7 +220,7 @@ def upoly_to_central(tower, u):
     k = tower.k
     coeffs = [tower.fq.zero] * (k * u.degree + 1)
     for j, c in enumerate(u.coeffs):
-        coeffs[j * k] = tower.embed_r_to_q(c)
+        coeffs[j * k] = c  # F_r elements are F_q elements
     return AdditivePoly(tower, coeffs)
 
 
@@ -331,5 +318,5 @@ def evaluate(f, alpha, field=None):
         if i:
             cur = tower.frob_r(field, cur, 1)
         if c != fq.zero:
-            acc = field.add(acc, field.mul(tower.embed_q_to(field, c), cur))
+            acc = field.add(acc, field.mul(c, cur))
     return acc

@@ -1,24 +1,63 @@
 """Exact arithmetic in a tower of finite fields F_p <= F_r <= F_q.
 
 A tower is the chain F_p < F_r = F_p^e < F_q = F_r^k with explicit monic
-irreducible construction polynomials, plus on-demand extensions F_q^E on
-top for brute-force work. Elements are plain values: integers in [0, p) at
-the prime level and tuples of lower-level elements at extension levels,
-always fully reduced, so equality is plain ==. Degree-one steps are
-collapsed: if e == 1 the r-level *is* the prime field and its elements are
-bare integers.
+irreducible construction polynomials, plus on-demand extensions F_q^E on top
+for brute-force work. Every element is a plain int in [0, size), whose
+base-p digits are its F_p coordinates: a level of degree m over a base of
+size s stores sum d_i y^i as sum d_i s^i, so F_r's digits nest under F_q's
+and F_q's under F_q^E's. Embedding a level into the next is the identity,
+F_r is the set of F_q elements below r, and equality is plain ==. If e == 1
+the r-level *is* the prime field.
 
-The canonical JSON encoding mirrors the representation: a bare integer per
-prime-field coordinate and little-endian coefficient lists at proper
-extension levels, e.g. the element g+1 of F_4 over F_2 encodes as [1, 1].
+Levels of at most TABLE_SIZE elements multiply by log/antilog tables, built
+on first use and kept on the field object, and add by Zech logarithms when
+p is odd (the table idiom of galois, https://github.com/mhostetter/galois).
+Larger levels multiply digit polynomials over their base, reduced by the
+modulus; over F_2 as bit masks (the idiom of NTL's GF2X). Over F_2 addition
+is xor at every level.
 
-When no construction polynomial is supplied, the lexicographically smallest
-monic irreducible of the right degree is used (coefficients compared
-low-to-high as integers), which makes towers reproducible across runs.
+The JSON encoding nests like the digits: a bare integer per prime-field
+coordinate and little-endian coefficient lists at extension levels, e.g. the
+element g+1 of F_4 over F_2 encodes as [1, 1]. Without an override, each
+construction polynomial is the lexicographically smallest monic irreducible
+of its degree (coefficients compared low-to-high as integers).
 """
 
+import sys
+from array import array
+from functools import partial
+from operator import pos, xor
+
 from . import upoly
-from .errors import InputError, NotInSubfield
+from .errors import BudgetExceeded, InputError, NotInSubfield
+from .upoly import _clmul, _mask_divmod
+
+# Largest level with log/antilog tables. Building them costs O(size) steps
+# (about 25 ms at 2^16 elements), which a level must earn back in lookups;
+# the oracle's F_(2^14) and F_(2^15) see under 2000 products per job.
+TABLE_SIZE = 1 << 12
+# Largest q for which the default m_q is searched for over a non-prime F_r.
+# The lexicographic search can meet long runs of reducible candidates: it took
+# 2.1 s at q = 2^48 over F_(2^6) and over 10 s at q = 2^64 over F_(2^8); every
+# measured q <= 2^40 took under 0.6 s.
+SEARCH_Q_CAP = 1 << 40
+
+
+def _digits(x, base, count):
+    """The low `count` base-`base` digits of x, low first."""
+    out = []
+    for _ in range(count):
+        x, d = divmod(x, base)
+        out.append(d)
+    return out
+
+
+def _undigits(digits, base):
+    x = 0
+    for d in reversed(digits):
+        x = x * base + d
+    return x
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -66,6 +105,7 @@ class PrimeField:
         self.p = p
         self.size = p
         self.char = p
+        self.dim = 1
         self.zero = 0
         self.one = 1
 
@@ -122,21 +162,22 @@ class PrimeField:
             raise InputError(f"prime-field coordinate {obj} out of range [0, {self.p})")
         return obj
 
-    # row helpers keep Gaussian elimination inner loops free of per-element calls
+    # u - c * v in one comprehension keeps elimination loops free of per-element calls
     def vec_submul(self, u, c, v):
         p = self.p
         return [(a - c * b) % p for a, b in zip(u, v)]
-
-    def vec_scale(self, c, v):
-        p = self.p
-        return [c * a % p for a in v]
 
     def __repr__(self):
         return f"GF({self.p})"
 
 
 class ExtensionField:
-    """Degree-m extension base[y]/(modulus); elements are m-tuples over base."""
+    """Degree-m extension base[y]/(modulus) whose elements are ints in [0, size).
+
+    sum d_i y^i is the int sum d_i s^i, s = base.size. Up to TABLE_SIZE
+    elements it multiplies by tables built on first use, else by digit
+    polynomials over the base.
+    """
 
     def __init__(self, base, modulus_coeffs):
         modulus = tuple(modulus_coeffs)
@@ -146,120 +187,185 @@ class ExtensionField:
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.size = base.size**self.degree
-        self.char = base.char
-        self.zero = (base.zero,) * self.degree
-        self.one = (base.one,) + (base.zero,) * (self.degree - 1)
-        # reduction rule y^m = -(low part of the modulus)
-        self._red = tuple(base.neg(c) for c in modulus[: self.degree])
+        self.char = p = base.char
+        self.dim = base.dim * self.degree  # number of F_p digits
+        self.zero, self.one = 0, 1
+        self._modpoly = upoly.UPoly(base, modulus)
+        self._mask = _undigits(modulus, 2) if base.size == 2 else 0  # the modulus as a bit mask
+        # dim * (p-1)^2 < 256 lets _use_tables hold F_p digits in byte slots
+        self._small = self.size <= TABLE_SIZE and self.dim * (p - 1) ** 2 < 256
+        if p == 2:
+            self.add = self.sub = xor
+            self.neg = pos
+        if not self._small:
+            self.mul, self.pow, self.inv = self._mul_poly, self._pow_poly, self._inv_poly
+            if p != 2:
+                self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
+                self.neg = partial(self._add_digits, 0, sign=-1)
 
-    def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+    def __getattr__(self, name):
+        # the first use of an operation on a small level builds its tables
+        if name in ("mul", "inv", "pow", "add", "sub", "neg") and self.__dict__.get("_small"):
+            self._use_tables()
+            return getattr(self, name)
+        raise AttributeError(name)
 
-    def sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+    def _mul_poly(self, a, b):
+        if self._mask:
+            return _mask_divmod(_clmul(a, b), self._mask)[1]
+        base, s, m = self.base, self.base.size, self.degree
+        prod = upoly.UPoly(base, _digits(a, s, m)) * upoly.UPoly(base, _digits(b, s, m))
+        return _undigits((prod % self._modpoly).coeffs, s)
 
-    def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
+    def _pow_poly(self, a, n):
+        n = int(n)
+        if n < 0:
+            a, n = self._inv_poly(a), -n
+        result = 1
+        while n:
+            if n & 1:
+                result = self._mul_poly(result, a)
+            a = self._mul_poly(a, a)
+            n >>= 1
+        return result
 
-    def mul(self, a, b):
-        base = self.base
-        m = self.degree
-        zero = base.zero
-        prod = [zero] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        for t in range(2 * m - 2, m - 1, -1):
-            c = prod[t]
-            if c != zero:
-                prod[t] = zero
-                for i, ri in enumerate(self._red):
-                    if ri != zero:
-                        prod[t - m + i] = base.add(prod[t - m + i], base.mul(c, ri))
-        return tuple(prod[:m])
-
-    def inv(self, a):
-        if a == self.zero:
+    def _inv_poly(self, a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.size - 2)
+        if not self._mask:
+            return self._pow_poly(a, self.size - 2)
+        # extended Euclid on bit masks: s1 * a = r1 mod the modulus throughout
+        r0, r1, s0, s1 = self._mask, a, 0, 1
+        while r1 != 1:
+            quot, rem = _mask_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0 ^ _clmul(quot, s1)
+        return s1
+
+    def _add_digits(self, a, b, sign=1):
+        """a + sign * b, F_p digit by F_p digit, for odd p."""
+        p, n = self.char, self.dim
+        return _undigits([(x + sign * y) % p for x, y in zip(_digits(a, p, n), _digits(b, p, n))], p)
+
+    def _use_tables(self):
+        """Log/antilog tables of a primitive element g (the table idiom of galois).
+
+        Multiplication by g is F_p-linear, so its table over all elements takes
+        dim^2 big-int products on planes of byte slots (dim * (p-1)^2 < 256 keeps
+        each slot sum below a byte). The powers of g follow that table; a
+        return to 1 before size - 1 steps rejects g.
+        """
+        p, q, q1, dim = self.char, self.size, self.size - 1, self.dim
+        residue = bytes(b % p for b in range(256))
+        planes = []  # plane j holds F_p digit j of every element x, in byte slot x
+        for j in range(dim):
+            run = b"".join(bytes([d]) * p**j for d in range(p))
+            planes.append(int.from_bytes(run * (q // p ** (j + 1)), "little"))
+
+        def reduced(x):  # every byte slot of x taken mod p
+            return int.from_bytes(x.to_bytes(q, "little").translate(residue), "little")
+
+        def indices(planes):  # the ints whose F_p digits the planes hold
+            wide, index = bytearray(2 * q), 0
+            for j, plane in enumerate(planes):
+                wide[::2] = plane.to_bytes(q, "little")
+                index += p**j * int.from_bytes(wide, "little")
+            out = array("H")
+            out.frombytes(index.to_bytes(2 * q, sys.byteorder))
+            return out
+
+        def image(cols, o):  # digit o of x * g for every x, from digit o of each p^j * g
+            return reduced(sum(c // p**o % p * plane for c, plane in zip(cols, planes)))
+
+        # elements of the base lie in a proper subfield, so the search starts at y
+        for g in range(self.base.size, q):
+            cols = [self._mul_poly(p**j, g) for j in range(dim)]
+            times_g = indices([image(cols, o) for o in range(dim)]).tolist()
+            exp, log, x = [], [q1] * q, 1  # log[0] = q1 marks zero for the Zech table
+            for i in range(q1):
+                exp.append(x)
+                log[x] = i
+                x = times_g[x]
+                if x == 1:
+                    break
+            if len(exp) == q1:
+                break  # no power of g below q1 is 1: g is primitive
+        exp, log = array("H", exp * 2), array("H", log)  # exp doubled: a sum of two logs needs no reduction
+
+        def mul_(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def inv_(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return exp[q1 - log[a]]
+
+        def pow_(a, n):
+            if a:
+                return exp[log[a] * int(n) % q1]
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 0 if n else 1
+
+        def submul_(u, c, v):  # over F_2
+            lc = log[c]
+            return [a ^ exp[lc + log[b]] if b else a for a, b in zip(u, v)] if c else list(u)
+
+        self.mul, self.inv, self.pow = mul_, inv_, pow_
+        if p == 2:
+            self.vec_submul = submul_
+            return
+        # Zech logarithms: zech[d] = log(1 + g^d), which is q1 where 1 + g^d = 0
+        half = q1 // 2  # g^half = -1
+        planes[0] = reduced(planes[0] + int.from_bytes(bytes([1]) * q, "little"))  # x + 1 for every x
+        zech = array("H", map(log.__getitem__, map(indices(planes).__getitem__, exp[:q1])))
+
+        def add_(a, b):
+            if not a or not b:
+                return a or b
+            la = log[a]
+            z = zech[(log[b] - la) % q1]
+            return 0 if z == q1 else exp[la + z]
+
+        def neg_(a):
+            return exp[log[a] + half] if a else 0
+
+        self.add, self.neg = add_, neg_
+        self.sub = lambda a, b: add_(a, neg_(b))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a, n):
-        n = int(n)
-        if n < 0:
-            a, n = self.inv(a), -n
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
-
     def random(self, rng):
-        return tuple(self.base.random(rng) for _ in range(self.degree))
+        s = self.base.size
+        return sum(self.base.random(rng) * s**i for i in range(self.degree))
 
     def from_int(self, i):
-        return (self.base.from_int(i),) + (self.base.zero,) * (self.degree - 1)
-
-    def embed(self, x):
-        """Lift a base-field element into this extension."""
-        return (x,) + (self.base.zero,) * (self.degree - 1)
-
-    def project(self, a):
-        """Inverse of embed; raises NotInSubfield off the base field."""
-        for c in a[1:]:
-            if c != self.base.zero:
-                raise NotInSubfield(f"element {self.encode(a)} is not in the base field")
-        return a[0]
+        return i % self.char
 
     def to_index(self, a):
-        idx = 0
-        s = self.base.size
-        for c in reversed(a):
-            idx = idx * s + self.base.to_index(c)
-        return idx
+        return a
 
     def from_index(self, i):
         if not 0 <= i < self.size:
             raise InputError(f"index {i} out of range for field of size {self.size}")
-        s = self.base.size
-        cs = []
-        for _ in range(self.degree):
-            cs.append(self.base.from_index(i % s))
-            i //= s
-        return tuple(cs)
+        return i
 
     def elements(self):
-        return (self.from_index(i) for i in range(self.size))
+        return range(self.size)
 
     def encode(self, a):
-        return [self.base.encode(c) for c in a]
+        return [self.base.encode(c) for c in _digits(a, self.base.size, self.degree)]
 
     def decode(self, obj):
         if not isinstance(obj, list):
             raise InputError(f"expected a length-{self.degree} coefficient list, got {obj!r}")
         if len(obj) != self.degree:
-            raise InputError(
-                f"coefficient list has length {len(obj)}, expected {self.degree}"
-            )
-        return tuple(self.base.decode(c) for c in obj)
+            raise InputError(f"coefficient list has length {len(obj)}, expected {self.degree}")
+        return _undigits([self.base.decode(c) for c in obj], self.base.size)
 
     def vec_submul(self, u, c, v):
         sub, mul = self.sub, self.mul
         return [sub(a, mul(c, b)) for a, b in zip(u, v)]
-
-    def vec_scale(self, c, v):
-        mul = self.mul
-        return [mul(c, a) for a in v]
 
     def __repr__(self):
         return f"GF({self.size})"
@@ -281,12 +387,14 @@ class FieldTower:
         self.fp = prime_field(p)
         self.r = p**e
         self.q = self.r**k
+        if m_q is None and e > 1 and k > 1 and self.q > SEARCH_Q_CAP:
+            cap = f"2^{SEARCH_Q_CAP.bit_length() - 1}"
+            raise BudgetExceeded(f"m_q search over F_{self.r} for q = {p}^{e * k} exceeds cap {cap}; give m_q")
         self.m_r = self._construction(self.fp, e, m_r, "m_r")
         self.fr = self.fp if e == 1 else ExtensionField(self.fp, self.m_r.coeffs)
         self.m_q = self._construction(self.fr, k, m_q, "m_q")
         self.fq = self.fr if k == 1 else ExtensionField(self.fr, self.m_q.coeffs)
         self._ext = {1: self.fq}
-        self._orders = {}
 
     @staticmethod
     def _construction(field, degree, override, name):
@@ -310,37 +418,15 @@ class FieldTower:
             self._ext[ext_degree] = ExtensionField(self.fq, modulus.coeffs)
         return self._ext[ext_degree]
 
-    def embed_r_to_q(self, x):
-        if self.fq is self.fr:
-            return x
-        return self.fq.embed(x)
-
     def coerce_q_to_r(self, x):
         """Project an F_q element onto F_r; NotInSubfield if it does not lie there."""
-        if self.fq is self.fr:
-            return x
-        return self.fq.project(x)
-
-    def embed_q_to(self, field, x):
-        if field is self.fq:
-            return x
-        if isinstance(field, ExtensionField) and field.base is self.fq:
-            return field.embed(x)
-        raise InputError("target level does not contain F_q")
-
-    def embed_r_to(self, field, x):
-        return self.embed_q_to(field, self.embed_r_to_q(x)) if field is not self.fr else x
+        if x >= self.r:
+            raise NotInSubfield(f"element {self.fq.encode(x)} is not in the base field")
+        return x
 
     def sigma_r_order(self, field):
-        """Order of the r-power Frobenius on the given level."""
-        key = id(field)
-        if key not in self._orders:
-            n, t = 0, 1
-            while t < field.size:
-                t *= self.r
-                n += 1
-            self._orders[key] = n if t == field.size else 1
-        return self._orders[key]
+        """Order of the r-power Frobenius on the given level: its degree over F_r."""
+        return max(1, field.dim // self.e)
 
     def frob_r(self, field, x, i):
         """x^(r^i) with i taken modulo the Frobenius order; i may be negative."""
@@ -350,27 +436,14 @@ class FieldTower:
         return field.pow(x, self.r**j)
 
     def r_coords(self, field, x):
-        """Flatten a q- or extension-level element to its F_r coordinate list."""
-        if field is self.fr:
-            return [x]
-        if field is self.fq:
-            return list(x)
-        if isinstance(field, ExtensionField) and field.base is self.fq:
-            out = []
-            for c in x:
-                out.extend(self.r_coords(self.fq, c))
-            return out
-        raise InputError("field is not a level of this tower")
+        """The base-r digits of a level's element: its F_r coordinates, low first."""
+        width = self.sigma_r_order(field)
+        if self.r**width != field.size:
+            raise InputError("field is not a level of this tower")
+        return _digits(x, self.r, width)
 
     def from_r_coords(self, field, coords):
-        if field is self.fr:
-            (c,) = coords
-            return c
-        if field is self.fq:
-            return tuple(coords)
-        width = self.k
-        chunks = [coords[i : i + width] for i in range(0, len(coords), width)]
-        return tuple(self.from_r_coords(self.fq, chunk) for chunk in chunks)
+        return _undigits(coords, self.r)
 
     def to_json(self):
         return {

@@ -2,7 +2,7 @@
 
 Matrices are lists of row lists, vectors plain lists; the column convention
 is used for matrix action (mat_vec(A, v) = A.v). Row operations go through
-the field's vec_submul/vec_scale helpers so prime-field eliminations stay
+the field's vec_submul helper so prime-field eliminations stay
 in tight integer comprehensions.
 """
 
@@ -44,26 +44,32 @@ def mat_mul(field, a, b):
 
 def rref(field, rows):
     """Reduced row echelon form; returns (rows, pivot columns), rows pivot-sorted."""
-    zero = field.zero
     out, pivots = [], []
     for row in rows:
-        row = list(row)
-        for prow, p in zip(out, pivots):
-            c = row[p]
-            if c != zero:
-                row = field.vec_submul(row, c, prow)
-        pivot = next((j for j, c in enumerate(row) if c != zero), None)
-        if pivot is None:
-            continue
-        row = field.vec_scale(field.inv(row[pivot]), row)
-        for t in range(len(out)):
-            c = out[t][pivot]
-            if c != zero:
-                out[t] = field.vec_submul(out[t], c, row)
-        out.append(row)
-        pivots.append(pivot)
+        echelon_insert(field, out, pivots, row)
     order = sorted(range(len(out)), key=lambda i: pivots[i])
     return [out[i] for i in order], [pivots[i] for i in order]
+
+
+def echelon_insert(field, rows, pivots, vec, width=None):
+    """Insert vec into the reduced echelon basis (rows, pivots), in place.
+
+    Pivots are sought among the first `width` columns (all by default).
+    Returns None when vec extends the span, and then rows[-1] is its
+    normalized remainder; otherwise returns the remainder.
+    """
+    zero = field.zero
+    v = reduce_vector(field, vec, rows, pivots)
+    pivot = next((j for j, c in enumerate(v[:width]) if c != zero), None)
+    if pivot is None:
+        return v
+    v = field.vec_submul([zero] * len(v), field.neg(field.inv(v[pivot])), v)  # v / v[pivot]
+    for t, row in enumerate(rows):
+        if row[pivot] != zero:
+            rows[t] = field.vec_submul(row, row[pivot], v)
+    rows.append(v)
+    pivots.append(pivot)
+    return None
 
 
 def rank(field, rows):
@@ -110,51 +116,26 @@ def span_coords(field, vec, rows, pivots):
 class SpanTracker:
     """Incrementally grown echelon basis that reports the first dependence.
 
-    Each inserted vector is tracked as a combination of all insertions so
-    far, so when some v_i falls into the span of v_0..v_(i-1) the returned
-    dependence coefficients c_0..c_i satisfy sum c_j v_j = 0 with c_i = 1.
+    Each inserted vector carries the unit vector of its insertion index in
+    extra columns, so row operations track it as a combination of all
+    insertions so far. When some v_i falls into the span of v_0..v_(i-1),
+    those columns hold c_0..c_i with sum c_j v_j = 0 and c_i = 1.
     """
 
     def __init__(self, field):
         self.field = field
         self.rows = []
         self.pivots = []
-        self.combos = []
         self.count = 0
 
-    def _combo_submul(self, a, c, b):
-        f = self.field
-        n = max(len(a), len(b))
-        a = a + [f.zero] * (n - len(a))
-        b = b + [f.zero] * (n - len(b))
-        return f.vec_submul(a, c, b)
-
     def add(self, vec):
-        f = self.field
-        zero = f.zero
-        v = list(vec)
-        combo = [zero] * self.count + [f.one]
+        zero = self.field.zero
+        for row in self.rows:
+            row.append(zero)  # the column of this insertion
+        v = list(vec) + [zero] * self.count + [self.field.one]
         self.count += 1
-        for row, p, rc in zip(self.rows, self.pivots, self.combos):
-            c = v[p]
-            if c != zero:
-                v = f.vec_submul(v, c, row)
-                combo = self._combo_submul(combo, c, rc)
-        pivot = next((j for j, c in enumerate(v) if c != zero), None)
-        if pivot is None:
-            return combo
-        inv = f.inv(v[pivot])
-        v = f.vec_scale(inv, v)
-        combo = f.vec_scale(inv, combo)
-        for t in range(len(self.rows)):
-            c = self.rows[t][pivot]
-            if c != zero:
-                self.rows[t] = f.vec_submul(self.rows[t], c, v)
-                self.combos[t] = self._combo_submul(self.combos[t], c, combo)
-        self.rows.append(v)
-        self.pivots.append(pivot)
-        self.combos.append(combo)
-        return None
+        rem = echelon_insert(self.field, self.rows, self.pivots, v, width=len(vec))
+        return None if rem is None else rem[len(vec) :]
 
 
 def vector_minpoly_coeffs(field, mat, vec):

@@ -138,14 +138,9 @@ def invariant_subspaces(field, mat, d, enum_budget=DEFAULT_ENUM_BUDGET):
 
 
 def _is_invariant(field, mat, rows, pivots):
-    zero = field.zero
     for row in rows:
-        image = linalg.mat_vec(field, mat, row)
-        for prow, p in zip(rows, pivots):
-            c = image[p]
-            if c != zero:
-                image = field.vec_submul(image, c, prow)
-        if any(c != zero for c in image):
+        image = linalg.reduce_vector(field, linalg.mat_vec(field, mat, row), rows, pivots)
+        if any(c != field.zero for c in image):
             return False
     return True
 
@@ -169,19 +164,11 @@ def right_components_brute(space, d, enum_budget=DEFAULT_ENUM_BUDGET):
         raise BudgetExceeded(f"expanding subspaces of {r**d} roots exceeds budget {enum_budget}")
     components = []
     for sub in invariant_subspaces(fr, space.frobenius_matrix, d, enum_budget):
-        gens = []
-        for row in sub:
-            acc = field.zero
-            for c, alpha in zip(row, space.basis):
-                if c != fr.zero:
-                    acc = field.add(acc, field.mul(tower.embed_r_to(field, c), alpha))
-            gens.append(acc)
+        # F_r elements are elements of the extension, so a combination is a plain sum
+        gens = [_combination(field, row, space.basis) for row in sub]
         poly = UPoly.one(field)
         for coeffs in product(list(fr.elements()), repeat=d):
-            alpha = field.zero
-            for c, gen in zip(coeffs, gens):
-                if c != fr.zero:
-                    alpha = field.add(alpha, field.mul(tower.embed_r_to(field, c), gen))
+            alpha = _combination(field, coeffs, gens)
             poly = poly * UPoly(field, (field.neg(alpha), field.one))
         skew = [fq.zero] * (d + 1)
         for i, c in enumerate(poly.coeffs):
@@ -190,17 +177,22 @@ def right_components_brute(space, d, enum_budget=DEFAULT_ENUM_BUDGET):
             exp = _r_power_index(i, r, d)
             if exp is None:
                 raise DescentFailure(f"root product has support at degree {i}")
-            try:
-                cq = c if field is fq else field.project(c)
-            except InputError as exc:
-                raise DescentFailure("root product coefficient is not in F_q") from exc
-            skew[exp] = cq
+            if c >= fq.size:  # F_q is the set of elements below q
+                raise DescentFailure("root product coefficient is not in F_q")
+            skew[exp] = c
         h = AdditivePoly(tower, skew)
         if not right_divmod(f, h)[1].is_zero:
             raise DescentFailure("reconstructed component does not divide on the right")
         components.append(h)
     components.sort(key=lambda h: tuple(fq.to_index(c) for c in h.coeffs))
     return components
+
+
+def _combination(field, coeffs, elements):
+    acc = field.zero
+    for c, alpha in zip(coeffs, elements):
+        acc = field.add(acc, field.mul(c, alpha))
+    return acc
 
 
 def right_components_by_division(f, d, enum_budget=DEFAULT_ENUM_BUDGET):
@@ -281,23 +273,11 @@ def _projective_points(field, n):
 
 
 def _cyclic_closure(field, mat, vec):
-    rows, pivots = [], []
-    stack = [vec]
+    rows, pivots, stack = [], [], [vec]
     while stack:
-        v = linalg.reduce_vector(field, stack.pop(), rows, pivots)
-        pivot = next((j for j, c in enumerate(v) if c != field.zero), None)
-        if pivot is None:
-            continue
-        v = field.vec_scale(field.inv(v[pivot]), v)
-        for t in range(len(rows)):
-            c = rows[t][pivot]
-            if c != field.zero:
-                rows[t] = field.vec_submul(rows[t], c, v)
-        rows.append(v)
-        pivots.append(pivot)
-        stack.append(linalg.mat_vec(field, mat, v))
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    return [rows[i] for i in order], [pivots[i] for i in order]
+        if linalg.echelon_insert(field, rows, pivots, stack.pop()) is None:
+            stack.append(linalg.mat_vec(field, mat, rows[-1]))
+    return linalg.rref(field, rows)
 
 
 def _minimal_invariant_subspaces(field, mat):

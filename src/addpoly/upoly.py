@@ -160,9 +160,7 @@ class UPoly:
                 continue
             g = f.mul(c, inv_lc)
             quot[s] = g
-            for i, oc in enumerate(other.coeffs):
-                if oc != f.zero:
-                    rem[s + i] = f.sub(rem[s + i], f.mul(g, oc))
+            rem[s : s + dm + 1] = f.vec_submul(rem[s : s + dm + 1], g, other.coeffs)
         return UPoly(f, quot), UPoly(f, rem[:dm])
 
     def __floordiv__(self, other):
@@ -200,13 +198,10 @@ class UPoly:
 
 def _mul_schoolbook(field, a, b):
     out = [field.zero] * (len(a) + len(b) - 1)
-    add, mul, zero = field.add, field.mul, field.zero
+    width = len(b)
     for i, ai in enumerate(a):
-        if ai == zero:
-            continue
-        for j, bj in enumerate(b):
-            if bj != zero:
-                out[i + j] = add(out[i + j], mul(ai, bj))
+        if ai != field.zero:
+            out[i : i + width] = field.vec_submul(out[i : i + width], field.neg(ai), b)
     return out
 
 
@@ -452,36 +447,19 @@ def factor(u):
 
 
 def is_irreducible(u):
-    """Rabin irreducibility test over the polynomial's own field."""
+    """Ben-Or's irreducibility test over the polynomial's own field.
+
+    u of degree m is irreducible iff gcd(u, y^(s^i) - y) = 1 for i = 1..m/2;
+    a reducible u is rejected at the degree of its smallest factor.
+    """
     if u.degree < 1:
         raise InputError("irreducibility is only defined for degree >= 1")
-    if u.degree == 1:
-        return True
     field = u.field
-    s = field.size
-    m = u.degree
     yy = UPoly.y(field) % u
-    # y^(s^j) mod u for increasing j, via repeated s-powering
-    powers = {0: yy}
     h = yy
-    for j in range(1, m + 1):
-        h = powmod(h, s, u)
-        powers[j] = h
-    if powers[m] != yy:
-        return False
-    mm = m
-    primes = []
-    t = 2
-    while t * t <= mm:
-        if mm % t == 0:
-            primes.append(t)
-            while mm % t == 0:
-                mm //= t
-        t += 1
-    if mm > 1:
-        primes.append(mm)
-    for t in primes:
-        if gcd(powers[m // t] - yy, u).degree != 0:
+    for _ in range(u.degree // 2):
+        h = powmod(h, field.size, u)
+        if gcd(h - yy, u).degree != 0:
             return False
     return True
 

@@ -1,6 +1,6 @@
 """Helpers that only the tests use: dense expansions, left division, random
-additive polynomials, explicit matrices realizing a species, and the checked
-nullity sequence of one eigenfactor."""
+additive polynomials, explicit matrices realizing a species, the checked
+nullity sequence of one eigenfactor, and a tuple reference field."""
 
 from addpoly import upoly
 from addpoly.additive import (
@@ -204,3 +204,119 @@ def _nullities_from_orders(m, orders):
     for j in range(1, k + 2):
         nu.append(m * sum(min(j, o) for o in orders))
     return nu
+
+
+class TupleExtensionField:
+    """Reference extension base[y]/(modulus) whose elements are m-tuples over base.
+
+    This is the representation the int field kernel replaced: schoolbook
+    products with one base call per coefficient pair, inverses as powers.
+    It shares no table or packing code with ffield.ExtensionField.
+    """
+
+    def __init__(self, base, modulus_coeffs):
+        modulus = tuple(modulus_coeffs)
+        if len(modulus) < 3 or modulus[-1] != base.one:
+            raise InputError("extension modulus must be monic of degree >= 2")
+        self.base = base
+        self.modulus = modulus
+        self.degree = len(modulus) - 1
+        self.size = base.size**self.degree
+        self.char = base.char
+        self.zero = (base.zero,) * self.degree
+        self.one = (base.one,) + (base.zero,) * (self.degree - 1)
+        # reduction rule y^m = -(low part of the modulus)
+        self._red = tuple(base.neg(c) for c in modulus[: self.degree])
+
+    def add(self, a, b):
+        base = self.base
+        return tuple(base.add(x, y) for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        base = self.base
+        return tuple(base.sub(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        base = self.base
+        return tuple(base.neg(x) for x in a)
+
+    def mul(self, a, b):
+        base = self.base
+        m = self.degree
+        zero = base.zero
+        prod = [zero] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai == zero:
+                continue
+            for j, bj in enumerate(b):
+                if bj != zero:
+                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
+        for t in range(2 * m - 2, m - 1, -1):
+            c = prod[t]
+            if c != zero:
+                prod[t] = zero
+                for i, ri in enumerate(self._red):
+                    if ri != zero:
+                        prod[t - m + i] = base.add(prod[t - m + i], base.mul(c, ri))
+        return tuple(prod[:m])
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.size - 2)
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a, n):
+        n = int(n)
+        if n < 0:
+            a, n = self.inv(a), -n
+        result = self.one
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return result
+
+    def random(self, rng):
+        return tuple(self.base.random(rng) for _ in range(self.degree))
+
+    def from_int(self, i):
+        return (self.base.from_int(i),) + (self.base.zero,) * (self.degree - 1)
+
+    def to_index(self, a):
+        idx = 0
+        s = self.base.size
+        for c in reversed(a):
+            idx = idx * s + self.base.to_index(c)
+        return idx
+
+    def from_index(self, i):
+        if not 0 <= i < self.size:
+            raise InputError(f"index {i} out of range for field of size {self.size}")
+        s = self.base.size
+        cs = []
+        for _ in range(self.degree):
+            cs.append(self.base.from_index(i % s))
+            i //= s
+        return tuple(cs)
+
+    def elements(self):
+        return (self.from_index(i) for i in range(self.size))
+
+    def encode(self, a):
+        return [self.base.encode(c) for c in a]
+
+    def decode(self, obj):
+        if not isinstance(obj, list):
+            raise InputError(f"expected a length-{self.degree} coefficient list, got {obj!r}")
+        if len(obj) != self.degree:
+            raise InputError(
+                f"coefficient list has length {len(obj)}, expected {self.degree}"
+            )
+        return tuple(self.base.decode(c) for c in obj)
+
+    def __repr__(self):
+        return f"GF({self.size})"

@@ -257,6 +257,22 @@ def test_mhat_past_its_partition_budget_is_exit_3(capsys, n):
     assert json.loads(lines[0])["error"]["type"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("p,e,k", [(2, 8, 16), (2, 8, 8), (2, 16, 4)])
+def test_tower_past_the_m_q_search_cap_is_exit_3(capsys, monkeypatch, p, e, k):
+    # each of these default constructions searched for over 10 s; the cap refuses them at once
+    import time
+
+    zero, one = [[0] * e] * k, [[1] + [0] * (e - 1)] + [[0] * e] * (k - 1)
+    job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, zero, one]}}
+    start = time.perf_counter()
+    code, out = run(capsys, ["species"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "BudgetExceeded"
+
+
 def test_tower_over_a_large_prime_runs_in_bounded_memory():
     # The construction search over F_p with p near 10^9 must not list the field;
     # the address-space cap turns a regression into a MemoryError in the child.

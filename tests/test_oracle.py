@@ -117,7 +117,7 @@ def test_roots_of_components_are_subspaces():
                         for v, alpha in zip(vec, space.basis):
                             if v != T4.fr.zero:
                                 acc = space.field.add(
-                                    acc, space.field.mul(tower(2, 1, 2).embed_r_to(space.field, v), alpha)
+                                    acc, space.field.mul(v, alpha)
                                 )
                 elems.append(acc)
             subspace_sets.add(frozenset(elems))
@@ -140,7 +140,7 @@ def _space_elements(space):
         acc = space.field.zero
         for c, alpha in zip(coeffs, space.basis):
             if c != tw.fr.zero:
-                acc = space.field.add(acc, space.field.mul(tw.embed_r_to(space.field, c), alpha))
+                acc = space.field.add(acc, space.field.mul(c, alpha))
         out.append(acc)
     return out
 
