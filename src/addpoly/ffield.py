@@ -14,7 +14,8 @@ on first use and kept on the field object, and add by Zech logarithms when
 p is odd (the table idiom of galois, https://github.com/mhostetter/galois).
 Larger levels multiply digit polynomials over their base, reduced by the
 modulus; over F_2 as bit masks (the idiom of NTL's GF2X). Over F_2 addition
-is xor at every level.
+is xor at every level; above the tables, odd p <= 36 adds (and over F_p
+multiplies) F_p digits held in the byte slots of one int.
 
 The JSON encoding nests like the digits: a bare integer per prime-field
 coordinate and little-endian coefficient lists at extension levels, e.g. the
@@ -26,6 +27,7 @@ of its degree (coefficients compared low-to-high as integers).
 import sys
 from array import array
 from functools import partial
+from itertools import product
 from operator import pos, xor
 
 from . import upoly
@@ -194,19 +196,20 @@ class ExtensionField:
         self._mask = _undigits(modulus, 2) if base.size == 2 else 0  # the modulus as a bit mask
         # dim * (p-1)^2 < 256 lets _use_tables hold F_p digits in byte slots
         self._small = self.size <= TABLE_SIZE and self.dim * (p - 1) ** 2 < 256
+        self._lazy = self._small or 2 < p <= 36  # tables or byte slots, built on first use
         if p == 2:
             self.add = self.sub = xor
             self.neg = pos
-        if not self._small:
+        if not self._lazy:
             self.mul, self.pow, self.inv = self._mul_poly, self._pow_poly, self._inv_poly
             if p != 2:
                 self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
                 self.neg = partial(self._add_digits, 0, sign=-1)
 
     def __getattr__(self, name):
-        # the first use of an operation on a small level builds its tables
-        if name in ("mul", "inv", "pow", "add", "sub", "neg") and self.__dict__.get("_small"):
-            self._use_tables()
+        # the first use of an operation builds the level's tables or byte slots
+        if name in ("mul", "inv", "pow", "add", "sub", "neg") and self.__dict__.get("_lazy"):
+            self._use_tables() if self._small else self._use_slots()
             return getattr(self, name)
         raise AttributeError(name)
 
@@ -224,8 +227,8 @@ class ExtensionField:
         result = 1
         while n:
             if n & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             n >>= 1
         return result
 
@@ -242,9 +245,60 @@ class ExtensionField:
         return s1
 
     def _add_digits(self, a, b, sign=1):
-        """a + sign * b, F_p digit by F_p digit, for odd p."""
+        """a + sign * b, F_p digit by F_p digit, for odd p above 36."""
         p, n = self.char, self.dim
         return _undigits([(x + sign * y) % p for x, y in zip(_digits(a, p, n), _digits(b, p, n))], p)
+
+    def _use_slots(self):
+        """Byte-slot arithmetic for odd p <= 36 above TABLE_SIZE.
+
+        An element's F_p digits go into the byte slots of one int through a
+        table of every c-digit chunk (remembered per element), and come back
+        by int(text, p), so sums act on all slots at once. Over a prime base
+        so do products, reduced by Barrett's method: the quotient by the
+        modulus M is the top of (high half) * (y^(2m-2) // M). m(p-1)^2 < 256
+        keeps every slot of these products below a byte.
+        """
+        p, m, n = self.char, self.degree, self.dim
+        c = next(c for c in range(11, 0, -1) if p**c <= 2048)
+        chunk, chunks = p**c, [bytes(t[::-1]) for t in product(range(p), repeat=c)]
+        residue = bytes(b % p for b in range(256))
+        text = bytes(b"0123456789abcdefghijklmnopqrstuvwxyz"[b % p] for b in range(256))
+        ps, memo = p * ((1 << 8 * n) - 1) // 255, {}  # p in each of the n slots
+
+        def packed(digits):
+            return int.from_bytes(bytes(digits), "little")
+
+        def slots(x):
+            s = memo.get(x)
+            if s is None:
+                if len(memo) > 4096:
+                    memo.clear()
+                y, out = x, []
+                while y:
+                    y, d = divmod(y, chunk)
+                    out.append(chunks[d])
+                s = memo[x] = packed(b"".join(out))
+            return s
+
+        def value(s, width):  # the int whose F_p digits are the low slots of s, each mod p
+            return int(s.to_bytes(width, "little").translate(text)[::-1], p)
+
+        self.add = lambda a, b: value(slots(a) + slots(b), n)
+        self.sub = lambda a, b: value(slots(a) + ps - slots(b), n)
+        self.neg = lambda a: value(ps - slots(a), n)
+        self.mul, self.pow, self.inv = self._mul_poly, self._pow_poly, self._inv_poly
+        if self.base.size != p or m * (p - 1) ** 2 >= 256:
+            return
+        mu = packed((upoly.UPoly(self.base, [0] * (2 * m - 2) + [1]) // self._modpoly).coeffs)
+        neg_m = packed(-c % p for c in self.modulus[:m])
+
+        def mul_(a, b):
+            prod = packed((slots(a) * slots(b)).to_bytes(2 * m, "little").translate(residue))
+            quot = packed(((prod >> 8 * m) * mu >> 8 * (m - 2)).to_bytes(m, "little").translate(residue))
+            return value(prod + quot * neg_m & (1 << 8 * m) - 1, m)
+
+        self.mul = mul_
 
     def _use_tables(self):
         """Log/antilog tables of a primitive element g (the table idiom of galois).

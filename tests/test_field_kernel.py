@@ -7,7 +7,10 @@ same construction polynomials, and an element's int is the reference's
 `to_index`, so every result is compared as an int. The levels lie on both
 sides of `ffield.TABLE_SIZE`: F_4, F_16 (over F_4), F_8, F_81 (over F_9) and
 F_729 use tables; F_(2^32), F_(2^16) over F_256 and the oracle's F_(4^15)
-multiply digit polynomials. Samples come from fixed seeds.
+multiply digit polynomials. Above the tables, odd p <= 36 adds in byte slots:
+F_(3^13), F_(3^26) and F_(5^7) also multiply there, F_(81^3) and F_(17^3)
+multiply digit polynomials, and F_(37^2) (p above 36, too wide for tables)
+adds digit by digit. Samples come from fixed seeds.
 """
 
 import random
@@ -27,6 +30,12 @@ LEVELS = [
     ((2, 32, 1), 1),
     ((2, 8, 2), 1),
     ((2, 2, 1), 15),
+    ((3, 1, 1), 13),
+    ((3, 1, 1), 26),
+    ((5, 1, 1), 7),
+    ((3, 2, 2), 3),
+    ((17, 1, 1), 3),
+    ((37, 1, 1), 2),
 ]
 
 
@@ -76,7 +85,7 @@ def test_kernel_matches_tuple_reference(key, ext_degree):
 def test_levels_lie_on_both_sides_of_the_table_threshold():
     sizes = [_levels(key, ext_degree)[1].size for key, ext_degree in LEVELS]
     assert min(sizes) <= TABLE_SIZE < max(sizes)
-    assert sorted(s <= TABLE_SIZE for s in sizes) == [False] * 3 + [True] * 5
+    assert sorted(s <= TABLE_SIZE for s in sizes) == [False] * 8 + [True] * 6
 
 
 @pytest.mark.parametrize("key,ext_degree", LEVELS)
