@@ -12,10 +12,14 @@ the r-level *is* the prime field.
 Levels of at most TABLE_SIZE elements multiply by log/antilog tables, built
 on first use and kept on the field object, and add by Zech logarithms when
 p is odd (the table idiom of galois, https://github.com/mhostetter/galois).
-Larger levels multiply digit polynomials over their base, reduced by the
-modulus; over F_2 as bit masks (the idiom of NTL's GF2X). Over F_2 addition
-is xor at every level; above the tables, odd p <= 36 adds (and over F_p
-multiplies) F_p digits held in the byte slots of one int.
+Larger levels multiply in flat F_p coordinates, also built on first use: the
+nested digits over a prime base, else the coordinates in the powers of one
+generator theta over F_p, reached by F_p-linear maps (compatible embeddings
+as in W. Bosma, J. Cannon, A. Steel, J. Symbolic Comput. 24, 1997). There a
+product is taken modulo theta's minimal polynomial over F_p: as bit masks
+over F_2 (the idiom of NTL's GF2X), in byte slots for small odd p, else as a
+packed UPoly product. Over F_2 addition is xor at every level; above the
+tables, odd p <= 36 adds F_p digits held in the byte slots of one int.
 
 The JSON encoding nests like the digits: a bare integer per prime-field
 coordinate and little-endian coefficient lists at extension levels, e.g. the
@@ -26,11 +30,11 @@ of its degree (coefficients compared low-to-high as integers).
 
 import sys
 from array import array
-from functools import partial
+from functools import partial, reduce
 from itertools import product
-from operator import pos, xor
+from operator import getitem, mul, pos, xor
 
-from . import upoly
+from . import linalg, upoly
 from .errors import BudgetExceeded, InputError, NotInSubfield
 from .upoly import _clmul, _mask_divmod
 
@@ -177,8 +181,9 @@ class ExtensionField:
     """Degree-m extension base[y]/(modulus) whose elements are ints in [0, size).
 
     sum d_i y^i is the int sum d_i s^i, s = base.size. Up to TABLE_SIZE
-    elements it multiplies by tables built on first use, else by digit
-    polynomials over the base.
+    elements it multiplies by tables built on first use, else in flat F_p
+    coordinates (_use_flat). _flat holds the maps into and out of them and
+    the prime-base level they multiply on: the level itself over F_p.
     """
 
     def __init__(self, base, modulus_coeffs):
@@ -196,29 +201,40 @@ class ExtensionField:
         self._mask = _undigits(modulus, 2) if base.size == 2 else 0  # the modulus as a bit mask
         # dim * (p-1)^2 < 256 lets _use_tables hold F_p digits in byte slots
         self._small = self.size <= TABLE_SIZE and self.dim * (p - 1) ** 2 < 256
-        self._lazy = self._small or 2 < p <= 36  # tables or byte slots, built on first use
         if p == 2:
             self.add = self.sub = xor
             self.neg = pos
-        if not self._lazy:
-            self.mul, self.pow, self.inv = self._mul_poly, self._pow_poly, self._inv_poly
-            if p != 2:
-                self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
-                self.neg = partial(self._add_digits, 0, sign=-1)
+        elif p > 36:
+            self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
+            self.neg = partial(self._add_digits, 0, sign=-1)
 
     def __getattr__(self, name):
-        # the first use of an operation builds the level's tables or byte slots
-        if name in ("mul", "inv", "pow", "add", "sub", "neg") and self.__dict__.get("_lazy"):
-            self._use_tables() if self._small else self._use_slots()
+        # the first use of an operation builds the level's tables, or its byte slots and flat basis
+        small = self.__dict__.get("_small")
+        if small is not None and (name in ("mul", "inv", "pow", "add", "sub", "neg") or name == "_flat" and not small):
+            self._use_tables() if small else self._use_flat()
             return getattr(self, name)
         raise AttributeError(name)
 
     def _mul_poly(self, a, b):
+        """a * b over a prime base: bit masks over F_2, else one packed UPoly product."""
         if self._mask:
             return _mask_divmod(_clmul(a, b), self._mask)[1]
+        p, m = self.char, self.degree
+        prod = upoly.UPoly(self.base, _digits(a, p, m)) * upoly.UPoly(self.base, _digits(b, p, m))
+        return _undigits((prod % self._modpoly).coeffs, p)
+
+    def _times(self, a, g):
+        """a * g by Horner's rule in y, on base operations: how tables and flat bases are built."""
         base, s, m = self.base, self.base.size, self.degree
-        prod = upoly.UPoly(base, _digits(a, s, m)) * upoly.UPoly(base, _digits(b, s, m))
-        return _undigits((prod % self._modpoly).coeffs, s)
+        xs, acc, gs = _digits(a, s, m), [0] * m, _digits(g, s, m)
+        while not gs[-1]:
+            gs.pop()
+        for d in reversed(gs):  # acc = acc * y + d * a, where y^m = -(m_0 + ... + m_(m-1) y^(m-1))
+            top = acc[-1]
+            terms = zip([0, *acc], xs, self.modulus)
+            acc = [base.sub(base.add(lo, base.mul(d, x)), base.mul(top, c)) for lo, x, c in terms]
+        return _undigits(acc, s)
 
     def _pow_poly(self, a, n):
         n = int(n)
@@ -250,7 +266,7 @@ class ExtensionField:
         return _undigits([(x + sign * y) % p for x, y in zip(_digits(a, p, n), _digits(b, p, n))], p)
 
     def _use_slots(self):
-        """Byte-slot arithmetic for odd p <= 36 above TABLE_SIZE.
+        """Byte-slot sums for odd p <= 36 above TABLE_SIZE; returns the slot product or None.
 
         An element's F_p digits go into the byte slots of one int through a
         table of every c-digit chunk (remembered per element), and come back
@@ -287,9 +303,8 @@ class ExtensionField:
         self.add = lambda a, b: value(slots(a) + slots(b), n)
         self.sub = lambda a, b: value(slots(a) + ps - slots(b), n)
         self.neg = lambda a: value(ps - slots(a), n)
-        self.mul, self.pow, self.inv = self._mul_poly, self._pow_poly, self._inv_poly
         if self.base.size != p or m * (p - 1) ** 2 >= 256:
-            return
+            return None
         mu = packed((upoly.UPoly(self.base, [0] * (2 * m - 2) + [1]) // self._modpoly).coeffs)
         neg_m = packed(-c % p for c in self.modulus[:m])
 
@@ -298,7 +313,51 @@ class ExtensionField:
             quot = packed(((prod >> 8 * m) * mu >> 8 * (m - 2)).to_bytes(m, "little").translate(residue))
             return value(prod + quot * neg_m & (1 << 8 * m) - 1, m)
 
-        self.mul = mul_
+        return mul_
+
+    def _use_flat(self):
+        """Byte slots, then flat F_p coordinates for a level above TABLE_SIZE: the nested
+        digits over a prime base, else the coordinates in the powers of the first theta
+        = y, y + 1, ... of degree dim over F_p, whose products, inverses and powers run
+        on the prime-base level F_p[theta]/(M), M the minimal polynomial of theta."""
+        p, n = self.char, self.dim
+        slot_mul = self._use_slots() if 2 < p <= 36 else None
+        if self.base.size == p:
+            self._flat = pos, pos, self
+            self.mul, self.pow, self.inv = slot_mul or self._mul_poly, self._pow_poly, self._inv_poly
+            return
+        fp = prime_field(p)
+        for theta in range(self.base.size, self.size):
+            tracker, powers, dep = linalg.SpanTracker(fp), [1], None
+            while dep is None:  # the first F_p-dependence among 1, theta, theta^2, ...
+                dep = tracker.add(_digits(powers[-1], p, n))
+                powers.append(self._times(powers[-1], theta))
+            if len(dep) > n:
+                break
+        # the tracked row with pivot j writes F_p digit j in the powers of theta
+        cols = [_undigits(row[n : 2 * n], p) for _, row in sorted(zip(tracker.pivots, tracker.rows))]
+        to, back, flat = self._linear_map(cols), self._linear_map(powers[:n]), ExtensionField(fp, dep)
+        self._flat = to, back, flat
+        self.mul = lambda a, b: back(flat.mul(to(a), to(b)))
+        self.inv = lambda a: back(flat.inv(to(a)))
+        self.pow = lambda a, e: back(flat.pow(to(a), e))
+
+    def _linear_map(self, cols):
+        """x -> the sum of x_i * cols[i] over the F_p digits x_i of x: over F_2 by one table
+        per byte of x, of the xors of the columns of its set bits; over odd p as one sum
+        of the columns packed in slots too wide to carry (upoly._pack)."""
+        p, n = self.char, self.dim
+        if p == 2:
+            tables = []
+            for j in range(0, n, 8):
+                t = [0]
+                for col in cols[j : j + 8]:
+                    t += [v ^ col for v in t]
+                tables.append(t)
+            return lambda x: reduce(xor, map(getitem, tables, x.to_bytes(len(tables), "little")), 0)
+        s = (n * (p - 1) ** 2).bit_length() // 8 + 1
+        packed = [upoly._pack(p, _digits(col, p, n), s) for col in cols]
+        return lambda x: _undigits(upoly._unpack(p, sum(map(mul, _digits(x, p, n), packed)), n, s), p)
 
     def _use_tables(self):
         """Log/antilog tables of a primitive element g (the table idiom of galois).
@@ -332,7 +391,7 @@ class ExtensionField:
 
         # elements of the base lie in a proper subfield, so the search starts at y
         for g in range(self.base.size, q):
-            cols = [self._mul_poly(p**j, g) for j in range(dim)]
+            cols = [self._times(p**j, g) for j in range(dim)]
             times_g = indices([image(cols, o) for o in range(dim)]).tolist()
             exp, log, x = [], [q1] * q, 1  # log[0] = q1 marks zero for the Zech table
             for i in range(q1):

@@ -6,17 +6,26 @@ table or packing code with `ffield.ExtensionField`. Both are built from the
 same construction polynomials, and an element's int is the reference's
 `to_index`, so every result is compared as an int. The levels lie on both
 sides of `ffield.TABLE_SIZE`: F_4, F_16 (over F_4), F_8, F_81 (over F_9) and
-F_729 use tables; F_(2^32), F_(2^16) over F_256 and the oracle's F_(4^15)
-multiply digit polynomials. Above the tables, odd p <= 36 adds in byte slots:
-F_(3^13), F_(3^26) and F_(5^7) also multiply there, F_(81^3) and F_(17^3)
-multiply digit polynomials, and F_(37^2) (p above 36, too wide for tables)
-adds digit by digit. Samples come from fixed seeds.
+F_729 use tables. Above the tables every level multiplies in flat F_p
+coordinates. Over a prime base these are its own digits: F_(2^32) as bit
+masks, F_(3^13), F_(3^26) and F_(5^7) in byte slots, F_(17^3) and F_(37^2)
+as packed polynomials. Over a non-prime base they are reached by F_p-linear
+maps: F_(2^16) over F_256 and the oracle's F_(4^15) and F_(4^7) by byte
+tables, F_(81^3), F_(9^4) and F_(37^4) over F_(37^2) by packed column sums.
+Odd p <= 36 adds in byte slots; F_(37^2) and F_(37^4) add digit by digit.
+Samples come from fixed seeds.
+
+The field laws above the tables are also checked on Hypothesis draws,
+derandomized so that every run draws the same elements.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from addpoly import upoly
 from addpoly.ffield import TABLE_SIZE
 from corpus import tower
 from helpers import TupleExtensionField
@@ -36,7 +45,11 @@ LEVELS = [
     ((3, 2, 2), 3),
     ((17, 1, 1), 3),
     ((37, 1, 1), 2),
+    ((2, 1, 2), 7),
+    ((3, 2, 1), 4),
+    ((37, 2, 2), 1),
 ]
+ABOVE_TABLES = [(key, ext) for key, ext in LEVELS if key[0] ** (key[1] * key[2] * ext) > TABLE_SIZE]
 
 
 def _levels(key, ext_degree):
@@ -85,7 +98,55 @@ def test_kernel_matches_tuple_reference(key, ext_degree):
 def test_levels_lie_on_both_sides_of_the_table_threshold():
     sizes = [_levels(key, ext_degree)[1].size for key, ext_degree in LEVELS]
     assert min(sizes) <= TABLE_SIZE < max(sizes)
-    assert sorted(s <= TABLE_SIZE for s in sizes) == [False] * 8 + [True] * 6
+    assert sorted(s <= TABLE_SIZE for s in sizes) == [False] * 11 + [True] * 6
+
+
+@pytest.mark.parametrize("key,ext_degree", ABOVE_TABLES)
+def test_flat_coordinates_are_a_basis_of_powers_of_an_irreducible(key, ext_degree):
+    tw, level, ref = _levels(key, ext_degree)
+    to, back, flat = level._flat
+    xs = _samples(level, random.Random(f"flat:{key}:{ext_degree}"), 20)
+    assert [back(to(x)) for x in xs] == xs
+    minpoly = upoly.UPoly(tw.fp, flat.modulus)
+    assert minpoly.degree == level.dim and upoly.is_irreducible(minpoly)
+    assert flat.base is tw.fp and flat.size == level.size
+    assert to(1) == back(1) == 1
+    if level.base.size == level.char:
+        assert flat is level and [to(x) for x in xs] == xs == [back(x) for x in xs]
+    else:
+        # in the tuple reference, flat coordinate i stands for theta^i, and M(theta) = 0
+        theta, powers = ref.from_index(back(level.char)), [ref.one]
+        for _ in range(level.dim):
+            powers.append(ref.mul(powers[-1], theta))
+        assert [ref.to_index(t) for t in powers[:-1]] == [back(level.char**i) for i in range(level.dim)]
+        value = ref.zero
+        for c, t in zip(flat.modulus, powers):
+            value = ref.add(value, ref.mul(ref.from_int(c), t))
+        assert value == ref.zero
+
+
+LAW_LEVELS = [((2, 2, 1), 15), ((2, 1, 2), 7), ((3, 2, 1), 4), ((2, 32, 1), 1)]
+
+
+@pytest.mark.parametrize("key,ext_degree", LAW_LEVELS)
+def test_field_laws_above_the_tables(key, ext_degree):
+    tw, level, _ = _levels(key, ext_degree)
+    element = st.integers(0, level.size - 1)
+
+    def frob(x):
+        return tw.frob_r(level, x, 1)
+
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(element, element, element)
+    def laws(a, b, c):
+        mul, add = level.mul, level.add
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert a == 0 or mul(a, level.inv(a)) == 1
+        assert frob(add(a, b)) == add(frob(a), frob(b))
+        assert frob(mul(a, b)) == mul(frob(a), frob(b))
+
+    laws()
 
 
 @pytest.mark.parametrize("key,ext_degree", LEVELS)
