@@ -342,6 +342,12 @@ class ExtensionField:
         self.inv = lambda a: back(flat.inv(to(a)))
         self.pow = lambda a, e: back(flat.pow(to(a), e))
 
+        def submul_(u, c, v):  # c goes to flat coordinates once per call, not once per entry
+            c, sub = to(c), self.sub
+            return [sub(a, back(flat.mul(c, to(b)))) for a, b in zip(u, v)]
+
+        self.vec_submul = submul_
+
     def _linear_map(self, cols):
         """x -> the sum of x_i * cols[i] over the F_p digits x_i of x: over F_2 by one table
         per byte of x, of the xors of the columns of its set bits; over odd p as one sum

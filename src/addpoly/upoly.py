@@ -8,8 +8,9 @@ The field is any object with the small arithmetic protocol used across this
 package (zero/one attributes, add/sub/neg/mul/inv/div/pow, size, char,
 from_index/to_index, elements, encode/decode); see ffield for the concrete
 implementations. Factorization is complete over any such field: squarefree
-decomposition with p-th-root descent, distinct-degree splitting, then
-random equal-degree splitting from a fixed generator state.
+decomposition with p-th-root descent, distinct-degree splitting (stopped at
+its first factor, Ben-Or's irreducibility test), then random equal-degree
+splitting from a fixed generator state, on packed ints over a prime field.
 """
 
 import functools
@@ -46,10 +47,6 @@ class UPoly:
     @classmethod
     def y(cls, field):
         return cls(field, (field.zero, field.one))
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
 
     @property
     def degree(self):
@@ -147,8 +144,11 @@ class UPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.degree < other.degree:
             return UPoly.zero(f), self
+        if f.size == 2:
+            quot, rem = _mask_divmod(_to_mask(self.coeffs), _to_mask(other.coeffs))
+            return UPoly(f, _from_mask(quot)), UPoly(f, _from_mask(rem))
         if f.size == f.char:
-            quot, rem = _divmod_prime(f.char, self.coeffs, other.coeffs)
+            quot, rem = _slot_divmod(f.char, self.coeffs, other.coeffs)
             return UPoly(f, quot), UPoly(f, rem)
         rem = list(self.coeffs)
         dn, dm = self.degree, other.degree
@@ -205,11 +205,14 @@ def _mul_schoolbook(field, a, b):
     return out
 
 
-# Packed arithmetic over F_p (the idiom of NTL's GF2X). Over F_2 a polynomial
-# is a bit mask: bit i holds the coefficient of y^i. Over odd p the
-# coefficients are s-byte slots of one int, wide enough that no slot carries,
-# converted by bytes and int builtins. When s * p < 256, translation tables
-# reduce whole byte planes: twice as fast as slot by slot on F_3 and F_5.
+# Packed arithmetic over F_p (the idiom of NTL's GF2X and zz_pX). Over F_2 a
+# polynomial is a bit mask: bit i holds the coefficient of y^i. Over odd p the
+# coefficients are s-byte slots of one int, converted by bytes and int
+# builtins. Slot sums grow with each product or division step and are taken
+# mod p only before one could carry: whole byte planes by translation tables
+# when s * p < 256 (twice as fast as slot by slot on F_3 and F_5). Euclid and
+# Barrett reduction run on these ints (J. von zur Gathen, J. Gerhard, Modern
+# Computer Algebra, ch. 9 and 14).
 _TO_BITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -250,6 +253,8 @@ def _residues(p, j):
 
 
 def _pack(p, coeffs, s):
+    if s == 1:
+        return int.from_bytes(bytes(coeffs), "little")
     if s * p < 256:
         buf = bytearray(len(coeffs) * s)
         buf[::s] = bytes(coeffs)
@@ -258,63 +263,100 @@ def _pack(p, coeffs, s):
 
 
 def _unpack(p, x, length, s):
-    """The low `length` slots of x, each reduced mod p."""
+    """The low `length` slots of x, each reduced mod p, without trailing zeros."""
     raw = x.to_bytes(length * s, "little")
     if s * p < 256:
-        # sum the byte planes' residues; each sum stays below 256, so no carries
-        acc = sum(int.from_bytes(raw[j::s].translate(_residues(p, j)), "little") for j in range(s))
-        return tuple(acc.to_bytes(length, "little").translate(_residues(p, 0)))
+        if s > 1:  # sum the byte planes' residues; each sum stays below 256, so no carries
+            planes = (raw[j::s].translate(_residues(p, j)) for j in range(s))
+            raw = sum(map(int.from_bytes, planes, repeat("little"))).to_bytes(length, "little")
+        return raw.translate(_residues(p, 0)).rstrip(b"\0")
     cuts = range(0, len(raw) + 1, s)
     slots = map(raw.__getitem__, map(slice, cuts, cuts[1:]))
-    return tuple(map(p.__rmod__, map(int.from_bytes, slots, repeat("little"))))
+    out = list(map(p.__rmod__, map(int.from_bytes, slots, repeat("little"))))
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _divmod_prime(p, a, b):
-    """Long division of a by b (len(a) >= len(b) >= 1), one slot update per quotient term."""
-    if p == 2:
-        quot, rem = _mask_divmod(_to_mask(a), _to_mask(b))
-        return _from_mask(quot), _from_mask(rem)
-    dm, dq = len(b) - 1, len(a) - len(b)
-    # Each slot takes at most dq + 1 additions of c * (p - b_i) below p^2.
-    s = (p + (dq + 1) * p * (p - 1)).bit_length() // 8 + 1
-    w = 8 * s
-    rem = _pack(p, a, s)
-    # p - b_i in every slot of -b (a slot holding p still reads 0 mod p)
-    neg = p * ((1 << w * dm) - 1) // ((1 << w) - 1) - _pack(p, b[:-1], s)
-    inv_lc = pow(b[-1], p - 2, p)
-    quot = [0] * (dq + 1)
-    for shift in range(dq, -1, -1):
-        c = (rem >> w * (shift + dm)) % (1 << w) * inv_lc % p
+def _slot_divmod(p, a, b):
+    """Quotient and remainder of a by b over odd p (b[-1] nonzero): long division on one
+    packed int, one multiply-add of -b per quotient term. A slot holds the sum of all
+    terms or, if narrower, p^3: room for p terms between reductions mod p."""
+    s = (min(p**3 - 1, p * p * max(1, len(a) - len(b) + 1)).bit_length() + 7) // 8
+    w, m, top = 8 * s, len(b) - 1, 256**s - 1
+    x, quot = _pack(p, a, s), [0] * (len(a) - m)
+    neg = int.from_bytes(p.to_bytes(s, "little") * (m + 1), "little") - _pack(p, b, s)  # p - b_i in slot i
+    inv = pow(b[-1], p - 2, p)
+    room = left = (256**s - p) // (p * (p - 1))  # terms between reductions: each adds below p(p-1)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = (x >> w * (shift + m) & top) * inv % p  # slots above hold eliminated multiples of p
         if c:
             quot[shift] = c
-            rem += c * neg << w * shift
-    return tuple(quot), _unpack(p, rem & (1 << w * dm) - 1, dm, s)
+            x += c * neg << w * shift
+            left -= 1
+            if not left:
+                x, left = _pack(p, _unpack(p, x, len(a), s), s), room
+    return quot, _unpack(p, x, len(a), s)
 
 
 def gcd(a, b):
-    """Monic greatest common divisor."""
-    if a.field.size == 2:
+    """Monic greatest common divisor: Euclid on bit masks over F_2, in packed slots over odd p."""
+    f = a.field
+    if f.size == 2:
         x, y = _to_mask(a.coeffs), _to_mask(b.coeffs)
         while y:
             x, y = y, _mask_divmod(x, y)[1]
-        return UPoly(a.field, _from_mask(x))
+        return UPoly(f, _from_mask(x))
+    if f.size == f.char:
+        x, y = a.coeffs, b.coeffs
+        while y:
+            x, y = y, _slot_divmod(f.char, x, y)[1]
+        return UPoly(f, x).monic()
     while not b.is_zero:
         a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    return a.monic()
+
+
+@functools.lru_cache(maxsize=64)
+def _barrett(p, m):
+    """Slot width s for products mod m (degree d, odd p) and its packed Barrett
+    constants: y^(2d-2) // m and the low d coefficients of -m."""
+    d = len(m) - 1
+    s = ((d * (p - 1) ** 2 + p).bit_length() + 7) // 8
+    return s, _pack(p, _slot_divmod(p, [0] * (2 * d - 2) + [1], m)[0], s), _pack(p, [-c % p for c in m[:d]], s)
 
 
 def powmod(base, n, mod):
-    """base^n mod `mod` by square and multiply; n may be a big integer."""
+    """base^n mod `mod` by square and multiply, left to right; n may be a big integer.
+    Over odd p the powers stay packed and each product is reduced by Barrett's method:
+    its quotient by mod, of degree d, is the top of (high half) * (y^(2d-2) // mod)."""
     if mod.degree < 1:
         raise InputError("modulus must have degree >= 1")
-    result = UPoly.one(base.field)
-    base = base % mod
-    while n:
-        if n & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        n >>= 1
-    return result
+    f, p, d = base.field, base.field.char, mod.degree
+    if n == 0:
+        return UPoly.one(f)
+    x = base % mod
+    packed = f.size == p and p > 2
+    if packed:
+        s, mu, neg_m = _barrett(p, mod.coeffs)
+        w, low, x = 8 * s, (1 << 8 * s * d) - 1, _pack(p, x.coeffs, s)
+
+    def canonical(v, length):
+        return _pack(p, _unpack(p, v, length, s), s)
+
+    def mulmod(u, v):
+        if not packed:
+            return u * v % mod
+        prod = canonical(u * v, 2 * d - 1)
+        quot = canonical((prod >> w * d) * mu >> w * max(d - 2, 0), d - 1)
+        return canonical(prod + quot * neg_m & low, d)
+
+    result = x
+    for bit in bin(n)[3:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, x)
+    return UPoly(f, _unpack(p, result, d, s)) if packed else result
 
 
 def random_upoly(field, degree, rng, monic=True):
@@ -386,10 +428,9 @@ def squarefree_decomposition(u):
 
 
 def _distinct_degree(w):
-    """Split a monic squarefree polynomial into (product, factor degree) pairs."""
+    """Yield (product, factor degree) pairs of a monic squarefree polynomial, lowest degree first."""
     field = w.field
     s = field.size
-    out = []
     h = UPoly.y(field) % w
     d = 0
     while w.degree > 2 * (d + 1) - 1 and w.degree > 0:
@@ -397,12 +438,11 @@ def _distinct_degree(w):
         h = powmod(h, s, w)
         g = gcd(h - (UPoly.y(field) % w), w)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             w = w // g
             h = h % w
     if w.degree > 0:
-        out.append((w, w.degree))
-    return out
+        yield w, w.degree
 
 
 def _equal_degree(g, d, rng):
@@ -447,21 +487,14 @@ def factor(u):
 
 
 def is_irreducible(u):
-    """Ben-Or's irreducibility test over the polynomial's own field.
+    """Ben-Or's irreducibility test: distinct-degree splitting stopped at its first factor.
 
     u of degree m is irreducible iff gcd(u, y^(s^i) - y) = 1 for i = 1..m/2;
     a reducible u is rejected at the degree of its smallest factor.
     """
     if u.degree < 1:
         raise InputError("irreducibility is only defined for degree >= 1")
-    field = u.field
-    yy = UPoly.y(field) % u
-    h = yy
-    for _ in range(u.degree // 2):
-        h = powmod(h, field.size, u)
-        if gcd(h - yy, u).degree != 0:
-            return False
-    return True
+    return next(_distinct_degree(u))[1] == u.degree
 
 
 def order_of_y_mod(u, cap=DEFAULT_ORDER_CAP):

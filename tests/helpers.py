@@ -1,6 +1,7 @@
 """Helpers that only the tests use: dense expansions, left division, random
 additive polynomials, explicit matrices realizing a species, the checked
-nullity sequence of one eigenfactor, and a tuple reference field."""
+nullity sequence of one eigenfactor, a separate Ben-Or loop and a tuple
+reference field."""
 
 from addpoly import upoly
 from addpoly.additive import (
@@ -96,7 +97,7 @@ def substitute(a, b):
     """Plain composition a(b) of two ordinary polynomials."""
     acc = UPoly.zero(a.field)
     for c in reversed(a.coeffs):
-        acc = acc * b + UPoly.constant(a.field, c)
+        acc = acc * b + UPoly(a.field, [c])
     return acc
 
 
@@ -164,6 +165,20 @@ def block_matrix(form):
             mat[off + i][off : off + len(piece)] = row
         off += len(piece)
     return mat
+
+
+def ben_or_is_irreducible(u):
+    """Ben-Or's irreducibility test as a loop of its own, the reference for
+    upoly.is_irreducible: u of degree m is irreducible iff
+    gcd(u, y^(s^i) - y) = 1 for i = 1..m/2."""
+    field = u.field
+    yy = UPoly.y(field) % u
+    h = yy
+    for _ in range(u.degree // 2):
+        h = upoly.powmod(h, field.size, u)
+        if upoly.gcd(h - yy, u).degree != 0:
+            return False
+    return True
 
 
 def realize_species(field, species):

@@ -16,6 +16,7 @@ from addpoly.upoly import (
     squarefree_decomposition,
 )
 from corpus import tower
+from helpers import ben_or_is_irreducible
 
 
 def upoly(tw_field, *idxs):
@@ -50,7 +51,7 @@ def test_factor_reexpansion_and_determinism():
         fac = factor(u)
         again = factor(u)
         assert fac == again
-        prod = UPoly.constant(field, u.lc)
+        prod = UPoly(field, [u.lc])
         for poly, mult in fac:
             assert poly.is_monic and is_irreducible(poly)
             prod = prod * poly**mult
@@ -63,7 +64,7 @@ def test_factor_over_odd_extension_field():
     rng = random.Random(13)
     for trial in range(40):
         u = random_upoly(F9, rng.randrange(1, 8), rng, monic=False)
-        prod = UPoly.constant(F9, u.lc)
+        prod = UPoly(F9, [u.lc])
         for poly, mult in factor(u):
             assert poly.is_monic and is_irreducible(poly)
             prod = prod * poly**mult
@@ -79,6 +80,16 @@ def test_is_irreducible_examples():
     assert is_irreducible(u)
     with pytest.raises(InputError):
         is_irreducible(UPoly.one(F2))
+
+
+@pytest.mark.parametrize("field, max_degree", [(F3, 5), (tower(2, 2, 1).fr, 3)], ids=["F3", "F4"])
+def test_is_irreducible_agrees_with_a_separate_ben_or_loop(field, max_degree):
+    # every monic polynomial up to max_degree, the non-squarefree ones included
+    for degree in range(1, max_degree + 1):
+        for index in range(field.size**degree):
+            low = [field.from_index(index // field.size**i % field.size) for i in range(degree)]
+            u = UPoly(field, low + [field.one])
+            assert is_irreducible(u) == ben_or_is_irreducible(u), u
 
 
 def test_order_of_y_examples():
