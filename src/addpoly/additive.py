@@ -63,9 +63,6 @@ class AdditivePoly:
         """Nonzero linear coefficient, i.e. nonzero derivative."""
         return bool(self.coeffs) and self.coeffs[0] != self.tower.fq.zero
 
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.tower.fq.zero
-
     def scale(self, c):
         """Left scalar multiple (cx) o f."""
         fq = self.tower.fq
@@ -141,16 +138,36 @@ def compose(g, h):
     if g.is_zero or h.is_zero:
         return AdditivePoly.zero(tower)
     fq = tower.fq
-    zero = fq.zero
-    out = [zero] * (g.exponent + h.exponent + 1)
-    twisted = list(h.coeffs)
-    width = len(twisted)
+    out = [fq.zero] * (g.exponent + h.exponent + 1)
+    twists, width = _twists(h, len(g.coeffs)), len(h.coeffs)
     for i, gi in enumerate(g.coeffs):
-        if i:
-            twisted = [tower.frob_r(fq, c, 1) for c in twisted]
-        if gi != zero:
-            out[i : i + width] = fq.vec_submul(out[i : i + width], fq.neg(gi), twisted)
+        if gi != fq.zero:
+            out[i : i + width] = fq.vec_submul(out[i : i + width], fq.neg(gi), twists[i % len(twists)])
     return AdditivePoly(tower, out)
+
+
+def _twists(h, count):
+    """Twist s of h, each coefficient raised to r^s, for s below count and below the
+    order of the r-power Frobenius on F_q, after which the twists repeat."""
+    fq, r, order = h.tower.fq, h.tower.r, h.tower.sigma_r_order(h.tower.fq)
+    return [list(h.coeffs)] + [[fq.pow(c, r**s) for c in h.coeffs] for s in range(1, min(count, order))]
+
+
+def _divide(fq, coeffs, twists):
+    """(quotient, remainder) coefficient lists of right division by the h of these twists.
+
+    Step s subtracts g_s x^(r^s) o h, whose coefficients are twist s mod the period.
+    """
+    m, zero = len(twists[0]) - 1, fq.zero
+    rem = list(coeffs)
+    quot = [zero] * (len(rem) - m)
+    for s in range(len(quot) - 1, -1, -1):
+        top = rem[s + m]
+        if top != zero:
+            twisted = twists[s % len(twists)]
+            quot[s] = g = fq.div(top, twisted[m])
+            rem[s : s + m + 1] = fq.vec_submul(rem[s : s + m + 1], g, twisted)
+    return quot, rem[:m]
 
 
 def right_divmod(f, h):
@@ -163,24 +180,11 @@ def right_divmod(f, h):
     if h.is_zero:
         raise ZeroDivisionError("right division by the zero polynomial")
     tower = f.tower
-    fq = tower.fq
-    zero = fq.zero
     n, m = f.exponent, h.exponent
     if n < m:
         return AdditivePoly.zero(tower), f
-    order = tower.sigma_r_order(fq)
-    # step s subtracts g_s x^(r^s) o h, whose coefficients h_i^(r^s) repeat with period order
-    twists = [[tower.frob_r(fq, c, s) for c in h.coeffs] for s in range(min(order, n - m + 1))]
-    rem = list(f.coeffs)
-    quot = [zero] * (n - m + 1)
-    for s in range(n - m, -1, -1):
-        top = rem[s + m]
-        if top != zero:
-            twisted = twists[s % order]
-            g = fq.div(top, twisted[m])
-            quot[s] = g
-            rem[s : s + m + 1] = fq.vec_submul(rem[s : s + m + 1], g, twisted)
-    return AdditivePoly(tower, quot), AdditivePoly(tower, rem[:m])
+    quot, rem = _divide(tower.fq, f.coeffs, _twists(h, n - m + 1))
+    return AdditivePoly(tower, quot), AdditivePoly(tower, rem)
 
 
 def gcrc(f, g):
@@ -242,14 +246,16 @@ def minimal_central_left_component(f):
     if n < 1:
         raise InputError("input must have exponent >= 1")
 
-    def flatten(poly):
-        vec = []
-        for i in range(n):
-            vec.extend(tower.r_coords(fq, poly.coeff(i)))
-        return vec
+    if fr.size == 2:  # F_q's bits are its F_2 coordinates: row bit k*i + j is bit j of rem_i
+        def flatten(rem):
+            return sum(c << k * i for i, c in enumerate(rem))
+    else:
+        def flatten(rem):
+            return [x for c in rem for x in tower.r_coords(fq, c)]
 
-    tracker = SpanTracker(fr)
-    rem = AdditivePoly.identity(tower)  # x^(q^0) mod f, since n >= 1
+    tracker = SpanTracker(fr, n * k)
+    twists = _twists(f, k)  # the r-power Frobenius has order k on F_q
+    rem = [fq.one] + [fq.zero] * (n - 1)  # x^(q^0) mod f, since n >= 1
     for _ in range(n * k + 1):
         dep = tracker.add(flatten(rem))
         if dep is not None:
@@ -258,8 +264,7 @@ def minimal_central_left_component(f):
                 raise InternalInconsistency("computed central component is not a left multiple")
             return fstar
         # multiply by x^q on the left; the q-power acts trivially on F_q
-        shifted = AdditivePoly(tower, (fq.zero,) * k + rem.coeffs)
-        rem = right_divmod(shifted, f)[1]
+        rem = _divide(fq, [fq.zero] * k + rem, twists)[1]
     raise InternalInconsistency("no central dependence found within the dimension bound")
 
 

@@ -328,14 +328,15 @@ class ExtensionField:
             return
         fp = prime_field(p)
         for theta in range(self.base.size, self.size):
-            tracker, powers, dep = linalg.SpanTracker(fp), [1], None
-            while dep is None:  # the first F_p-dependence among 1, theta, theta^2, ...
-                dep = tracker.add(_digits(powers[-1], p, n))
+            tracker, powers, dep = linalg.SpanTracker(fp, n), [1], None
+            while dep is None:  # the first F_p-dependence among 1, theta, theta^2, ...; over F_2 as bits
+                dep = tracker.add(powers[-1] if p == 2 else _digits(powers[-1], p, n))
                 powers.append(self._times(powers[-1], theta))
             if len(dep) > n:
                 break
         # the tracked row with pivot j writes F_p digit j in the powers of theta
-        cols = [_undigits(row[n : 2 * n], p) for _, row in sorted(zip(tracker.pivots, tracker.rows))]
+        rows = [row for _, row in sorted(zip(tracker.pivots, tracker.rows))]
+        cols = [row >> n for row in rows] if p == 2 else [_undigits(row[n : 2 * n], p) for row in rows]
         to, back, flat = self._linear_map(cols), self._linear_map(powers[:n]), ExtensionField(fp, dep)
         self._flat = to, back, flat
         self.mul = lambda a, b: back(flat.mul(to(a), to(b)))

@@ -120,22 +120,40 @@ class SpanTracker:
     extra columns, so row operations track it as a combination of all
     insertions so far. When some v_i falls into the span of v_0..v_(i-1),
     those columns hold c_0..c_i with sum c_j v_j = 0 and c_i = 1.
+
+    Over F_2 a row is one int, as in M4RI (M. Albrecht, G. Bard, W. Hart, ACM
+    TOMS 37, 2010): bit j is column j, tracking column i is bit width + i, a
+    pivot step is one xor, and add also takes a vector packed so, given width.
     """
 
-    def __init__(self, field):
-        self.field = field
-        self.rows = []
-        self.pivots = []
-        self.count = 0
+    def __init__(self, field, width=None):
+        self.field, self.width = field, width
+        self.rows, self.pivots, self.count = [], [], 0
 
     def add(self, vec):
-        zero = self.field.zero
-        for row in self.rows:
-            row.append(zero)  # the column of this insertion
-        v = list(vec) + [zero] * self.count + [self.field.one]
+        field, count = self.field, self.count
         self.count += 1
-        rem = echelon_insert(self.field, self.rows, self.pivots, v, width=len(vec))
-        return None if rem is None else rem[len(vec) :]
+        if field.size != 2:
+            zero = field.zero
+            for row in self.rows:
+                row.append(zero)  # the column of this insertion
+            v = list(vec) + [zero] * count + [field.one]
+            rem = echelon_insert(field, self.rows, self.pivots, v, width=len(vec))
+            return None if rem is None else rem[len(vec) :]
+        if not isinstance(vec, int):
+            self.width, vec = len(vec), sum(c << j for j, c in enumerate(vec))
+        width = self.width
+        v = vec | 1 << width + count
+        for row, p in zip(self.rows, self.pivots):
+            if v >> p & 1:
+                v ^= row
+        low = v & (1 << width) - 1
+        if not low:
+            return [v >> width + j & 1 for j in range(count + 1)]
+        pivot = (low & -low).bit_length() - 1
+        self.rows = [row ^ v if row >> pivot & 1 else row for row in self.rows] + [v]
+        self.pivots.append(pivot)
+        return None
 
 
 def vector_minpoly_coeffs(field, mat, vec):

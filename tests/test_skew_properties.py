@@ -1,0 +1,113 @@
+"""Property checks of the skew-ring kernel: packed F_2 span tracking, right
+division and gcrc.
+
+The packed SpanTracker is compared with the list elimination of
+linalg.echelon_insert on the same vectors; divisions are certified by
+recomposition with compose.
+"""
+
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from addpoly.additive import AdditivePoly, compose, gcrc, minimal_central_left_component, right_divmod
+from addpoly.linalg import SpanTracker, echelon_insert
+from corpus import tower
+from helpers import random_additive
+
+F2 = tower(2, 1, 1).fr
+SKEW_TOWERS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2))
+MAX_EXPONENT = 9
+
+derandomized = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def bit_rows():
+    """(width, vectors as ints below 2^width), a few more vectors than the width."""
+    return st.integers(1, 16).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=w + 3))
+    )
+
+
+@derandomized
+@given(bit_rows(), st.booleans())
+@example((3, [0, 5, 5, 2]), False)  # a zero vector first: dependent at once
+@example((4, [6, 6, 0, 9]), True)
+@example((1, [1, 1, 1]), False)
+def test_packed_tracker_matches_list_elimination(case, as_ints):
+    width, vectors = case
+    packed = SpanTracker(F2, width)
+    rows, pivots = [], []
+    for count, bits in enumerate(vectors):
+        vec = [bits >> j & 1 for j in range(width)]
+        # the list tracker: each insertion carries the unit vector of its index
+        for row in rows:
+            row.append(0)
+        rem = echelon_insert(F2, rows, pivots, vec + [0] * count + [1], width=width)
+        expected = None if rem is None else rem[width:]
+        assert packed.add(bits if as_ints else vec) == expected
+        assert packed.pivots == pivots
+        unpacked = [[row >> j & 1 for j in range(width + count + 1)] for row in packed.rows]
+        assert unpacked == rows
+
+
+def skew_pairs(max_exponent=MAX_EXPONENT):
+    """(tower, f, h) with h nonzero; f may be zero and may be shorter than h."""
+
+    def pair(shape):
+        size = tower(*shape).fq.size
+        coeffs = st.lists(st.integers(0, size - 1), max_size=max_exponent + 1)
+        top = st.integers(1, size - 1)
+        divisor = st.tuples(st.lists(st.integers(0, size - 1), max_size=max_exponent), top)
+        return st.tuples(st.just(shape), coeffs, divisor.map(lambda t: t[0] + [t[1]]))
+
+    return st.sampled_from(SKEW_TOWERS).flatmap(pair)
+
+
+def poly(shape, indices):
+    tw = tower(*shape)
+    return AdditivePoly(tw, [tw.fq.from_index(i) for i in indices])
+
+
+@derandomized
+@given(skew_pairs())
+@example(((2, 1, 2), [1, 2, 3], [1, 0, 0, 0, 1]))  # n < m
+@example(((3, 2, 2), [5, 0, 7, 1], [4]))  # h of exponent 0
+@example(((2, 2, 2), [], [3, 1]))
+def test_right_divmod_round_trip(case):
+    shape, fs, hs = case
+    f, h = poly(shape, fs), poly(shape, hs)
+    g, rem = right_divmod(f, h)
+    assert compose(g, h) + rem == f
+    assert rem.exponent < h.exponent
+
+
+@derandomized
+@given(skew_pairs(max_exponent=5), st.lists(st.integers(0, 80), min_size=1, max_size=4))
+@example(((2, 1, 2), [], [1]), [0, 1])
+def test_gcrc_divides_both_inputs(case, common):
+    shape, fs, hs = case
+    size = tower(*shape).fq.size
+    c = poly(shape, [i % size for i in common[:-1]] + [1 + common[-1] % (size - 1)])
+    a, b = compose(poly(shape, fs), c), compose(poly(shape, hs), c)
+    if a.is_zero and b.is_zero:
+        return
+    d = gcrc(a, b)
+    assert d.is_monic
+    for x in (a, b):
+        assert right_divmod(x, d)[1].is_zero
+    assert right_divmod(d, c)[1].is_zero  # every common right component divides the greatest
+
+
+def test_mclc_twists_its_divisor_once(monkeypatch):
+    """f's Frobenius twists are taken once per mclc and once by its final check."""
+    tw = tower(2, 1, 2)
+    fq, n, k = tw.fq, 32, tw.k
+    f = random_additive(tw, n, random.Random(13))
+    calls = []
+    pow_ = fq.pow
+    monkeypatch.setattr(fq, "pow", lambda a, e: calls.append(e) or pow_(a, e))
+    fstar = minimal_central_left_component(f)
+    assert fstar.exponent // k > 2  # enough divisions that a rebuild per division would show
+    assert len(calls) <= 2 * (k - 1) * (n + 1)
