@@ -216,10 +216,13 @@ def verify_report(f, max_ext=oracle.DEFAULT_MAX_EXT):
     return {"all_pass": all(c["pass"] for c in checks), "checks": checks}
 
 
-def build_parser():
+def build_parser(only=None):
+    """The CLI's parser; given a command, with that command's subparser alone."""
     parser = _Parser(prog="addpoly", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, settings) in COMMANDS.items():
+        if only not in (None, command):
+            continue
         p = sub.add_parser(command, help=help_text)
         if command != "mhat":
             p.add_argument("--input", default="-", help="JobSpec JSON file, or - for stdin")
@@ -234,7 +237,9 @@ def build_parser():
 def main(argv=None):
     pretty = False
     try:
-        args = build_parser().parse_args(argv)
+        # a named command needs only its own subparser; help and errors get the full one
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         pretty = args.pretty
         f, settings = _load(args)
         payload, code = COMMANDS[args.command][0](f, settings)

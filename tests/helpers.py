@@ -1,7 +1,7 @@
 """Helpers that only the tests use: dense expansions, left division, random
 additive polynomials, explicit matrices realizing a species, the checked
-nullity sequence of one eigenfactor, a separate Ben-Or loop and a tuple
-reference field."""
+nullity sequence of one eigenfactor, a separate Ben-Or loop, a per-degree
+distinct-degree loop and a tuple reference field."""
 
 from addpoly import upoly
 from addpoly.additive import (
@@ -179,6 +179,25 @@ def ben_or_is_irreducible(u):
         if upoly.gcd(h - yy, u).degree != 0:
             return False
     return True
+
+
+def per_degree_distinct_degree(w):
+    """Distinct-degree splitting with one gcd per degree, the reference for
+    upoly._distinct_degree: yields (product of the degree-d factors, d) of a
+    monic squarefree w, lowest d first, then what is left as one irreducible."""
+    field = w.field
+    h = UPoly.y(field) % w
+    d = 0
+    while w.degree >= 2 * (d + 1):
+        d += 1
+        h = upoly.powmod(h, field.size, w)
+        g = upoly.gcd(h - UPoly.y(field) % w, w)
+        if g.degree > 0:
+            yield g, d
+            w = w // g
+            h = h % w
+    if w.degree > 0:
+        yield w, w.degree
 
 
 def realize_species(field, species):

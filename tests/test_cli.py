@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from addpoly.cli import main
+from addpoly.cli import COMMANDS, build_parser, main
+from addpoly.errors import InputError
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -242,6 +247,58 @@ def test_output_is_json_on_flag_errors(capsys):
     json.loads(out)  # still a JSON document
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["species"], jobspec_f4(X4_PLUS_X), 0),
+        (["no-such-command"], "", 2),
+        ([], "", 2),
+        (["species", "--bogus"], jobspec_f4(X4_PLUS_X), 2),
+    ],
+    ids=["species", "unknown-command", "no-command", "unknown-flag"],
+)
+def test_module_entry_point_prints_one_json_line(argv, stdin, code):
+    # the one path that reads sys.argv: main() called with argv None
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "addpoly.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    if code:
+        assert payload["error"]["type"] == "InputError"
+    else:
+        assert payload["species"] == [[1, [2]]]
+
+
+def _parsed(only, argv):
+    try:
+        return vars(build_parser(only).parse_args(argv))
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    flags = ["--" + name.replace("_", "-") for name in COMMANDS[command][2]]
+    every = [command, "--pretty"] + [x for flag in flags for x in (flag, "3")]
+    if command != "mhat":
+        every += ["--input", "job.json"]
+    if command == "count":
+        every.append("--all")
+    cases = [[command], every, every + ["--bogus"], [command, "--seed", "1"]]
+    cases += [[command, flag, "x"] for flag in flags] + [[command, "--input"]]
+    for argv in cases:
+        assert _parsed(command, argv) == _parsed(None, argv), argv
+
+
 def test_missing_tower_field(capsys, monkeypatch):
     code, out = run(capsys, ["species"], stdin=json.dumps({"p": 2, "e": 1}), monkeypatch=monkeypatch)
     assert code == 2
@@ -276,11 +333,6 @@ def test_tower_past_the_m_q_search_cap_is_exit_3(capsys, monkeypatch, p, e, k):
 def test_tower_over_a_large_prime_runs_in_bounded_memory():
     # The construction search over F_p with p near 10^9 must not list the field;
     # the address-space cap turns a regression into a MemoryError in the child.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     job = {"p": 1000000007, "e": 1, "k": 3, "f": {"r_exp": 1, "coeffs": [[1, 0, 0], [1, 0, 0]]}}
     script = (
         "import resource, sys\n"

@@ -1,0 +1,117 @@
+"""Property checks of factorization over odd prime fields, where the
+distinct-degree gcds are batched over blocks of degrees.
+
+The batched loop is compared with the per-degree loop of helpers; factors are
+certified by multiplying back and by a separate Ben-Or loop.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from addpoly import upoly
+from addpoly.ffield import prime_field
+from addpoly.frobjordan import rational_jordan_form
+from addpoly.upoly import UPoly, factor, random_upoly, squarefree_decomposition
+from corpus import tower
+from helpers import ben_or_is_irreducible, per_degree_distinct_degree, random_additive
+
+ODD_PRIMES = (3, 5, 7, 13)
+B = upoly._BLOCK
+# planted factor degrees: small ones, both sides of the first two block boundaries
+PLANTED_DEGREES = (1, 2, 3, B - 1, B, B + 1, B + 3, 2 * B, 2 * B + 1)
+
+derandomized = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+
+
+def random_irreducible(field, degree, rng):
+    while True:
+        u = random_upoly(field, degree, rng)
+        if ben_or_is_irreducible(u):
+            return u
+
+
+def planted(field, degrees, cofactor_degree, seed):
+    """The squarefree part of random irreducibles of the given degrees times a
+    random monic cofactor."""
+    rng = random.Random(seed)
+    u = random_upoly(field, cofactor_degree, rng)
+    for d in degrees:
+        u = u * random_irreducible(field, d, rng)
+    w = UPoly.one(field)
+    for part, _ in squarefree_decomposition(u):
+        w = w * part
+    return w
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_batched_distinct_degree_yields_the_per_degree_pairs(p):
+    field = prime_field(p)
+
+    @derandomized
+    @given(st.lists(st.sampled_from(PLANTED_DEGREES), max_size=4), st.integers(0, 24), st.integers(0, 2**32))
+    @example([B, B + 1], 0, 1)  # factors either side of the first block boundary
+    @example([2 * B, 2 * B + 1], 0, 2)  # and of the second
+    @example([B + 3, B + 4], 0, 3)  # B + 3 found in the short last block, B + 4 left over
+    @example([1, 2, B + 3, B + 4], 0, 4)  # the short last block after factors in the first
+    @example([], 0, 5)  # a cofactor of degree 0: nothing to split
+    @example([B - 1, B - 1, B, B], 0, 6)  # two factors each of two degrees in one block
+    def check(degrees, cofactor_degree, seed):
+        w = planted(field, degrees, cofactor_degree, seed)
+        assert list(upoly._distinct_degree(w)) == list(per_degree_distinct_degree(w))
+
+    check()
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_factor_multiplies_back_into_irreducibles(p):
+    field = prime_field(p)
+
+    @derandomized
+    @given(st.integers(1, 60), st.integers(0, 3), st.integers(0, 2**32))
+    def check(degree, squared_degree, seed):
+        rng = random.Random(seed)
+        square = random_upoly(field, squared_degree, rng)
+        u = random_upoly(field, degree, rng) * square * square
+        product = UPoly.one(field)
+        for irr, mult in factor(u):
+            assert irr.is_monic and ben_or_is_irreducible(irr)
+            product = product * irr**mult
+        assert product == u
+
+    check()
+
+
+@pytest.mark.parametrize("tw", [(3, 1, 1), (5, 1, 1)])
+def test_species_dimension_is_the_exponent(tw):
+    tr = tower(*tw)
+
+    @derandomized
+    @given(st.integers(1, 48), st.integers(0, 2**32))
+    def check(n, seed):
+        f = random_additive(tr, n, random.Random(seed))
+        assert rational_jordan_form(f).dimension() == n
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "u, degrees, bound",
+    [
+        # factors of degrees 7, 39 and 50: one gcd per degree made 41 calls, one
+        # per block of degrees makes 10
+        (random_upoly(prime_field(3), 96, random.Random(0)), [7, 39, 50], 16),
+        # y^64 + 1, two factors of degree 32 in one block: 36 calls per degree, 15
+        # if the split tried every degree of that block, 8 when it tries only 32
+        (UPoly(prime_field(5), [1] + [0] * 63 + [1]), [32, 32], 10),
+    ],
+    ids=["random-f3", "y64+1-f5"],
+)
+def test_factor_batches_its_euclid_calls(monkeypatch, u, degrees, bound):
+    calls = []
+    gcd = upoly.gcd
+    monkeypatch.setattr(upoly, "gcd", lambda a, b: calls.append(b.degree) or gcd(a, b))
+    assert sorted(irr.degree for irr, _ in factor(u)) == degrees
+    assert len(calls) <= bound
