@@ -16,9 +16,10 @@ Larger levels multiply in flat F_p coordinates, also built on first use: the
 nested digits over a prime base, else the coordinates in the powers of one
 generator theta over F_p, reached by F_p-linear maps (compatible embeddings
 as in W. Bosma, J. Cannon, A. Steel, J. Symbolic Comput. 24, 1997). There a
-product is taken modulo theta's minimal polynomial over F_p: as bit masks
-over F_2 (the idiom of NTL's GF2X), in byte slots for small odd p, else as a
-packed UPoly product. Over F_2 addition is xor at every level; above the
+product is upoly._barrett's product modulo theta's minimal polynomial over
+F_p: bit masks over F_2 (the idiom of NTL's GF2X), packed slots reduced by
+Barrett's method over odd p. This module only converts an element's int to
+and from its F_p digits. Over F_2 addition is xor at every level; above the
 tables, odd p <= 36 adds F_p digits held in the byte slots of one int.
 
 The JSON encoding nests like the digits: a bare integer per prime-field
@@ -197,7 +198,6 @@ class ExtensionField:
         self.char = p = base.char
         self.dim = base.dim * self.degree  # number of F_p digits
         self.zero, self.one = 0, 1
-        self._modpoly = upoly.UPoly(base, modulus)
         self._mask = _undigits(modulus, 2) if base.size == 2 else 0  # the modulus as a bit mask
         # dim * (p-1)^2 < 256 lets _use_tables hold F_p digits in byte slots
         self._small = self.size <= TABLE_SIZE and self.dim * (p - 1) ** 2 < 256
@@ -215,14 +215,6 @@ class ExtensionField:
             self._use_tables() if small else self._use_flat()
             return getattr(self, name)
         raise AttributeError(name)
-
-    def _mul_poly(self, a, b):
-        """a * b over a prime base: bit masks over F_2, else one packed UPoly product."""
-        if self._mask:
-            return _mask_divmod(_clmul(a, b), self._mask)[1]
-        p, m = self.char, self.degree
-        prod = upoly.UPoly(self.base, _digits(a, p, m)) * upoly.UPoly(self.base, _digits(b, p, m))
-        return _undigits((prod % self._modpoly).coeffs, p)
 
     def _times(self, a, g):
         """a * g by Horner's rule in y, on base operations: how tables and flat bases are built."""
@@ -266,24 +258,18 @@ class ExtensionField:
         return _undigits([(x + sign * y) % p for x, y in zip(_digits(a, p, n), _digits(b, p, n))], p)
 
     def _use_slots(self):
-        """Byte-slot sums for odd p <= 36 above TABLE_SIZE; returns the slot product or None.
+        """Byte-slot sums for odd p <= 36 above TABLE_SIZE; returns the conversions
+        (slots, value) between an element's int and its F_p digits in byte slots.
 
         An element's F_p digits go into the byte slots of one int through a
         table of every c-digit chunk (remembered per element), and come back
-        by int(text, p), so sums act on all slots at once. Over a prime base
-        so do products, reduced by Barrett's method: the quotient by the
-        modulus M is the top of (high half) * (y^(2m-2) // M). m(p-1)^2 < 256
-        keeps every slot of these products below a byte.
+        by int(text, p), so sums act on all slots at once.
         """
-        p, m, n = self.char, self.degree, self.dim
+        p, n = self.char, self.dim
         c = next(c for c in range(11, 0, -1) if p**c <= 2048)
         chunk, chunks = p**c, [bytes(t[::-1]) for t in product(range(p), repeat=c)]
-        residue = bytes(b % p for b in range(256))
         text = bytes(b"0123456789abcdefghijklmnopqrstuvwxyz"[b % p] for b in range(256))
         ps, memo = p * ((1 << 8 * n) - 1) // 255, {}  # p in each of the n slots
-
-        def packed(digits):
-            return int.from_bytes(bytes(digits), "little")
 
         def slots(x):
             s = memo.get(x)
@@ -294,37 +280,36 @@ class ExtensionField:
                 while y:
                     y, d = divmod(y, chunk)
                     out.append(chunks[d])
-                s = memo[x] = packed(b"".join(out))
+                s = memo[x] = int.from_bytes(b"".join(out), "little")
             return s
 
-        def value(s, width):  # the int whose F_p digits are the low slots of s, each mod p
-            return int(s.to_bytes(width, "little").translate(text)[::-1], p)
+        def value(s):  # the int whose F_p digits are the low n slots of s, each mod p
+            return int(s.to_bytes(n, "little").translate(text)[::-1], p)
 
-        self.add = lambda a, b: value(slots(a) + slots(b), n)
-        self.sub = lambda a, b: value(slots(a) + ps - slots(b), n)
-        self.neg = lambda a: value(ps - slots(a), n)
-        if self.base.size != p or m * (p - 1) ** 2 >= 256:
-            return None
-        mu = packed((upoly.UPoly(self.base, [0] * (2 * m - 2) + [1]) // self._modpoly).coeffs)
-        neg_m = packed(-c % p for c in self.modulus[:m])
-
-        def mul_(a, b):
-            prod = packed((slots(a) * slots(b)).to_bytes(2 * m, "little").translate(residue))
-            quot = packed(((prod >> 8 * m) * mu >> 8 * (m - 2)).to_bytes(m, "little").translate(residue))
-            return value(prod + quot * neg_m & (1 << 8 * m) - 1, m)
-
-        return mul_
+        self.add = lambda a, b: value(slots(a) + slots(b))
+        self.sub = lambda a, b: value(slots(a) + ps - slots(b))
+        self.neg = lambda a: value(ps - slots(a))
+        return slots, value
 
     def _use_flat(self):
-        """Byte slots, then flat F_p coordinates for a level above TABLE_SIZE: the nested
-        digits over a prime base, else the coordinates in the powers of the first theta
-        = y, y + 1, ... of degree dim over F_p, whose products, inverses and powers run
-        on the prime-base level F_p[theta]/(M), M the minimal polynomial of theta."""
+        """Byte slots, then flat F_p coordinates for a level above TABLE_SIZE: over a prime
+        base the nested digits, multiplied by upoly._barrett; else the coordinates in the
+        powers of the first theta = y, y + 1, ... of degree dim over F_p, whose products,
+        inverses and powers run on the prime-base level F_p[theta]/(M), M theta's minpoly."""
         p, n = self.char, self.dim
-        slot_mul = self._use_slots() if 2 < p <= 36 else None
+        slots, value = self._use_slots() if 2 < p <= 36 else (None, None)
         if self.base.size == p:
             self._flat = pos, pos, self
-            self.mul, self.pow, self.inv = slot_mul or self._mul_poly, self._pow_poly, self._inv_poly
+            s, pack, unpack, mulmod = upoly._barrett(p, self.modulus)
+            if p == 2:  # the ints are the bit masks
+                self.mul = mulmod
+            elif s == 1:  # the memoized one-byte slots are the packed ints
+                self.mul = lambda a, b: value(mulmod(slots(a), slots(b)))
+            else:
+                self.mul = lambda a, b: _undigits(
+                    unpack(mulmod(pack(_digits(a, p, n)), pack(_digits(b, p, n)))), p
+                )
+            self.pow, self.inv = self._pow_poly, self._inv_poly
             return
         fp = prime_field(p)
         for theta in range(self.base.size, self.size):
@@ -362,7 +347,7 @@ class ExtensionField:
                     t += [v ^ col for v in t]
                 tables.append(t)
             return lambda x: reduce(xor, map(getitem, tables, x.to_bytes(len(tables), "little")), 0)
-        s = (n * (p - 1) ** 2).bit_length() // 8 + 1
+        s = upoly._width(p, n)
         packed = [upoly._pack(p, _digits(col, p, n), s) for col in cols]
         return lambda x: _undigits(upoly._unpack(p, sum(map(mul, _digits(x, p, n), packed)), n, s), p)
 
@@ -375,7 +360,7 @@ class ExtensionField:
         return to 1 before size - 1 steps rejects g.
         """
         p, q, q1, dim = self.char, self.size, self.size - 1, self.dim
-        residue = bytes(b % p for b in range(256))
+        residue = upoly._residues(p, 0)
         planes = []  # plane j holds F_p digit j of every element x, in byte slot x
         for j in range(dim):
             run = b"".join(bytes([d]) * p**j for d in range(p))
@@ -564,15 +549,6 @@ class FieldTower:
 
     def from_r_coords(self, field, coords):
         return _undigits(coords, self.r)
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "e": self.e,
-            "k": self.k,
-            "m_r": self.m_r.encode(),
-            "m_q": self.m_q.encode(),
-        }
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, k={self.k})"

@@ -22,7 +22,7 @@ import functools
 import random
 from itertools import repeat
 
-from .errors import BudgetExceeded, InputError, Overflow
+from .errors import BudgetExceeded, InputError, InternalInconsistency, Overflow
 
 DEFAULT_ORDER_CAP = 1 << 16
 DEFAULT_ROOT_SCAN_CAP = 1 << 16
@@ -127,7 +127,7 @@ class UPoly:
             return UPoly(f, _mul_schoolbook(f, a, b))
         if p == 2:
             return UPoly(f, _from_mask(_clmul(_to_mask(a), _to_mask(b))))
-        s = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1  # no slot carries
+        s = _width(p, min(len(a), len(b)))
         return UPoly(f, _unpack(p, _pack(p, a, s) * _pack(p, b, s), len(a) + len(b) - 1, s))
 
     def __pow__(self, n):
@@ -322,45 +322,64 @@ def gcd(a, b):
     return a.monic()
 
 
+def _width(p, terms):
+    """Bytes per slot for sums of `terms` products of residues mod p: terms (p-1)^2 < 256^s."""
+    return ((terms * (p - 1) ** 2).bit_length() + 7) // 8
+
+
 @functools.lru_cache(maxsize=64)
 def _barrett(p, m):
-    """Slot width s for products mod m (degree d, odd p) and their product on packed
-    operands of degree < d, reduced by Barrett's method: the quotient of a product by
-    m is the top of (high half) * (y^(2d-2) // m), built once per modulus."""
+    """(s, pack, unpack, mulmod): products mod m, of degree d over F_p, on packed ints of
+    degree < d. Over F_2 these are bit masks (s = 0), reduced by long division. Over odd
+    p they hold s-byte slots, reduced by Barrett's method: the quotient of a product by m
+    is the top of (high half) * (y^(2d-2) // m), built once per modulus. Each of the three
+    products sums at most d terms below (p-1)^2 in a slot, and the last adds a residue
+    below p to at most d-1 of them, so d(p-1)^2 < 256^s keeps every slot from carrying."""
     d = len(m) - 1
-    s = ((d * (p - 1) ** 2 + p).bit_length() + 7) // 8
+    if p == 2:
+        mask = _to_mask(m)
+        return 0, _to_mask, _from_mask, lambda u, v: _mask_divmod(_clmul(u, v), mask)[1]
+    s = _width(p, d)
     mu = _pack(p, _slot_divmod(p, [0] * (2 * d - 2) + [1], m)[0], s)
     neg_m = _pack(p, [-c % p for c in m[:d]], s)  # the low d coefficients of -m
-    w, low = 8 * s, (1 << 8 * s * d) - 1
+    high, top, low = 8 * s * d, 8 * s * max(d - 2, 0), (1 << 8 * s * d) - 1
+    if s == 1:  # one translation reduces every slot
+        residue = _residues(p, 0)
 
-    def canonical(v, length):
-        return _pack(p, _unpack(p, v, length, s), s)
+        def canonical(v, length):
+            return int.from_bytes(v.to_bytes(length, "little").translate(residue), "little")
+
+    else:
+
+        def canonical(v, length):
+            return _pack(p, _unpack(p, v, length, s), s)
 
     def mulmod(u, v):
         prod = canonical(u * v, 2 * d - 1)
-        quot = canonical((prod >> w * d) * mu >> w * max(d - 2, 0), d - 1)
+        quot = canonical((prod >> high) * mu >> top, d - 1)
         return canonical(prod + quot * neg_m & low, d)
 
-    return s, mulmod
+    return s, lambda coeffs: _pack(p, coeffs, s), lambda x: _unpack(p, x, d, s), mulmod
 
 
 def powmod(base, n, mod):
     """base^n mod `mod` by square and multiply, left to right; n may be a big integer.
-    Over odd p the powers stay packed and each product is reduced by Barrett's method."""
+    Over a prime field the powers stay packed, and each product is _barrett's."""
     if mod.degree < 1:
         raise InputError("modulus must have degree >= 1")
-    f, p = base.field, base.field.char
+    f = base.field
     if n == 0:
         return UPoly.one(f)
-    x = base % mod
-    packed = f.size == p > 2
-    s, mulmod = _barrett(p, mod.coeffs) if packed else (None, lambda u, v: u * v % mod)
-    result = x = _pack(p, x.coeffs, s) if packed else x
+    if f.size == f.char:
+        _, pack, unpack, mulmod = _barrett(f.char, mod.coeffs)
+    else:
+        pack, unpack, mulmod = functools.partial(UPoly, f), lambda u: u.coeffs, lambda u, v: u * v % mod
+    result = x = pack((base % mod).coeffs)
     for bit in bin(n)[3:]:
         result = mulmod(result, result)
         if bit == "1":
             result = mulmod(result, x)
-    return UPoly(f, _unpack(p, result, mod.degree, s)) if packed else result
+    return UPoly(f, unpack(result))
 
 
 def random_upoly(field, degree, rng, monic=True):
@@ -456,9 +475,8 @@ def _distinct_degree(w, batched=True):
             diffs.append(h - y)
         prod = diffs[0]
         if len(diffs) > 1:
-            size, mulmod = _barrett(p, w.coeffs)
-            acc = functools.reduce(mulmod, (_pack(p, u.coeffs, size) for u in diffs))
-            prod = UPoly(field, _unpack(p, acc, w.degree, size))
+            _, pack, unpack, mulmod = _barrett(p, w.coeffs)
+            prod = UPoly(field, unpack(functools.reduce(mulmod, (pack(u.coeffs) for u in diffs))))
         g = gcd(prod, w)
         for j, diff in enumerate(diffs, d + 1):
             # the factors left in g have degrees j..top, so g has one of degree j only
@@ -475,13 +493,20 @@ def _distinct_degree(w, batched=True):
         yield w, w.degree
 
 
+# Failed split attempts before _equal_degree gives up. A product of degree-d
+# irreducibles splits with probability at least 1/2 per attempt.
+_SPLIT_TRIES = 64
+
+
 def _equal_degree(g, d, rng):
     """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
     field = g.field
+    if g.degree < d or g.degree % d:
+        raise InternalInconsistency(f"a part of degree {g.degree} is no product of degree-{d} factors")
     if g.degree == d:
         return [g]
     s = field.size
-    while True:
+    for _ in range(_SPLIT_TRIES):
         a = random_upoly(field, rng.randrange(1, g.degree), rng, monic=False)
         if field.char == 2:
             m = s.bit_length() - 1  # s = 2^m
@@ -496,6 +521,7 @@ def _equal_degree(g, d, rng):
             c = gcd(b - UPoly.one(field), g)
         if 0 < c.degree < g.degree:
             return _equal_degree(c, d, rng) + _equal_degree(g // c, d, rng)
+    raise InternalInconsistency(f"no split of a part of degree {g.degree} into degree-{d} factors")
 
 
 def factor(u):

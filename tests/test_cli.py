@@ -299,6 +299,17 @@ def test_one_command_parser_parses_as_the_full_parser(command):
         assert _parsed(command, argv) == _parsed(None, argv), argv
 
 
+@pytest.mark.parametrize("p", [0, 1, -7, 1763, 3215031751])
+def test_non_prime_p_is_an_input_error(capsys, monkeypatch, p):
+    # 1763 = 41 * 43 and 3215031751 = 151 * 751 * 28351 pass trial division and fail Miller-Rabin
+    job = json.dumps({"p": p, "e": 1, "k": 1, "f": {"r_exp": 1, "coeffs": [[1], [1]]}})
+    code, out = run(capsys, ["species"], stdin=job, monkeypatch=monkeypatch)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "InputError"
+
+
 def test_missing_tower_field(capsys, monkeypatch):
     code, out = run(capsys, ["species"], stdin=json.dumps({"p": 2, "e": 1}), monkeypatch=monkeypatch)
     assert code == 2

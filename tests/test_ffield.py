@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from addpoly.errors import InputError, NotInSubfield
-from addpoly.ffield import tower_create
+from addpoly.ffield import is_prime, tower_create
 from corpus import tower
 
 
@@ -150,6 +150,11 @@ def test_tower_create_errors():
         tower_create(2, 2, 1, m_r=[1, 1, 0, 1])  # degree mismatch
     with pytest.raises(InputError):
         tower_create(2, 0, 1)
+
+
+def test_is_prime_on_primes_past_the_trial_divisors():
+    assert is_prime(41) and is_prime(2**61 - 1)
+    assert not is_prime(41 * 43) and not is_prime(151 * 751 * 28351)
 
 
 def test_construction_polynomial_overrides():

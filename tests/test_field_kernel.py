@@ -7,9 +7,11 @@ same construction polynomials, and an element's int is the reference's
 `to_index`, so every result is compared as an int. The levels lie on both
 sides of `ffield.TABLE_SIZE`: F_4, F_16 (over F_4), F_8, F_81 (over F_9) and
 F_729 use tables. Above the tables every level multiplies in flat F_p
-coordinates. Over a prime base these are its own digits: F_(2^32) as bit
-masks, F_(3^13), F_(3^26) and F_(5^7) in byte slots, F_(17^3) and F_(37^2)
-as packed polynomials. Over a non-prime base they are reached by F_p-linear
+coordinates. Over a prime base these are its own digits, multiplied by
+upoly's one product modulo a fixed polynomial: F_(2^32) as bit masks,
+F_(3^13), F_(3^26), F_(5^7) and F_(7^7) in one-byte slots (7 * 6^2 = 252),
+F_(7^8) (8 * 6^2 = 288), F_(17^3) and F_(37^2) in wider slots. Over a
+non-prime base they are reached by F_p-linear
 maps: F_(2^16) over F_256 and the oracle's F_(4^15) and F_(4^7) by byte
 tables, F_(81^3), F_(9^4) and F_(37^4) over F_(37^2) by packed column sums.
 Odd p <= 36 adds in byte slots; F_(37^2) and F_(37^4) add digit by digit.
@@ -48,6 +50,8 @@ LEVELS = [
     ((2, 1, 2), 7),
     ((3, 2, 1), 4),
     ((37, 2, 2), 1),
+    ((7, 1, 1), 7),
+    ((7, 1, 1), 8),
 ]
 ABOVE_TABLES = [(key, ext) for key, ext in LEVELS if key[0] ** (key[1] * key[2] * ext) > TABLE_SIZE]
 
@@ -98,7 +102,7 @@ def test_kernel_matches_tuple_reference(key, ext_degree):
 def test_levels_lie_on_both_sides_of_the_table_threshold():
     sizes = [_levels(key, ext_degree)[1].size for key, ext_degree in LEVELS]
     assert min(sizes) <= TABLE_SIZE < max(sizes)
-    assert sorted(s <= TABLE_SIZE for s in sizes) == [False] * 11 + [True] * 6
+    assert sorted(s <= TABLE_SIZE for s in sizes) == [False] * 13 + [True] * 6
 
 
 @pytest.mark.parametrize("key,ext_degree", ABOVE_TABLES)
@@ -156,6 +160,24 @@ def test_random_draws_match_the_reference(key, ext_degree):
     ours, theirs = random.Random(7), random.Random(7)
     assert [level.random(ours) for _ in range(20)] == [ref.to_index(ref.random(theirs)) for _ in range(20)]
     assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("key,ext_degree", [((17, 1, 1), 3), ((7, 1, 1), 8), ((37, 1, 1), 2)])
+def test_products_above_the_tables_build_no_polynomial_objects(key, ext_degree, monkeypatch):
+    """A product over a prime base stays on packed ints: no UPoly per product."""
+    _, level, _ = _levels(key, ext_degree)
+    rng = random.Random(f"guard:{key}:{ext_degree}")
+    pairs = [(rng.randrange(level.size), rng.randrange(level.size)) for _ in range(50)]
+    built, init = [], upoly.UPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(upoly.UPoly, "__init__", counting_init)
+    for a, b in pairs:
+        level.mul(a, b)
+    assert len(built) == 0
 
 
 def test_zero_has_no_inverse_on_either_side_of_the_threshold():

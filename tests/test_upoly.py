@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
-from addpoly.errors import InputError, Overflow
+from addpoly.errors import InputError, InternalInconsistency, Overflow
 from addpoly.upoly import (
     UPoly,
+    _equal_degree,
     factor,
     gcd,
     irreducible_polynomial,
@@ -122,6 +124,23 @@ def test_gcd_and_powmod():
     assert gcd(u, v) == upoly(F2, 1, 1)
     mod = upoly(F2, 1, 1, 1)
     assert powmod(UPoly.y(F2), 4, mod) == UPoly.y(F2)  # y^4 = y in F_4 = F_2[y]/(y^2+y+1)
+
+
+@pytest.mark.parametrize(
+    "roots_, extra, d",
+    [((), [2, 0, 1], 1), ((0, 1, 2, 3), [1], 2)],
+    ids=["irreducible-quadratic-at-d1", "linear-factors-at-d2"],
+)
+def test_equal_degree_refuses_a_part_that_is_not_of_degree_d(roots_, extra, d):
+    # y^2 + 2 over F_5 never splits at d = 1; y(y+1)(y+2)(y+3) at d = 2 splits into odd degrees
+    F5 = tower(5, 1, 1).fr
+    g = UPoly(F5, extra)
+    for a in roots_:
+        g = g * UPoly(F5, [-a % 5, 1])
+    start = time.perf_counter()
+    with pytest.raises(InternalInconsistency):
+        _equal_degree(g, d, random.Random(0))
+    assert time.perf_counter() - start < 1
 
 
 def test_squarefree_decomposition_mixed():

@@ -95,6 +95,8 @@ def test_product_matches_plain_convolution(p):
     @example([], [])
     @example([], [1])
     @example([p - 1] * (MAX_DEGREE + 1), [p - 1] * (MAX_DEGREE + 1))
+    @example([p - 1] * (255 // (p - 1) ** 2), [p - 1] * MAX_DEGREE)  # the fullest one-byte slots
+    @example([p - 1] * (255 // (p - 1) ** 2 + 1), [p - 1] * MAX_DEGREE)  # the first that need two
     def check(a, b):
         got = UPoly(field, a) * UPoly(field, b)
         assert got.coeffs == convolve(p, strip(a), strip(b))
@@ -175,10 +177,10 @@ def test_powmod_matches_plain_square_and_multiply(p):
     check()
 
 
-@pytest.mark.parametrize("d", [63, 64])
-def test_powmod_slot_width_at_its_boundary_over_f3(d):
-    # over F_3 one byte holds d (p-1)^2 + p through degree 63; 64 needs two
-    field = prime_field(3)
-    a, m = [2] * d, [2] * (d + 1)
+@pytest.mark.parametrize("p,d", [(3, 63), (3, 64), (7, 7), (7, 8)], ids=["63", "64", "f7-7", "f7-8"])
+def test_powmod_slot_width_at_its_boundary_over_f3(p, d):
+    # one byte holds d (p-1)^2 through degree 63 over F_3 and degree 7 over F_7; 64 and 8 need two
+    field = prime_field(p)
+    a, m = [p - 1] * d, [p - 1] * (d + 1)
     for n in (2, 3, 6):
-        assert powmod(UPoly(field, a), n, UPoly(field, m)).coeffs == power_mod(3, a, n, m)
+        assert powmod(UPoly(field, a), n, UPoly(field, m)).coeffs == power_mod(p, a, n, m)
