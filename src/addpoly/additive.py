@@ -18,27 +18,26 @@ from .errors import (
     NotInSubfield,
 )
 from .linalg import SpanTracker
-from .upoly import UPoly
+from .upoly import DensePoly, UPoly, _divide, _product
 
 DENSE_EXPANSION_CAP = 1 << 16
 
 
-class AdditivePoly:
-    """An element of F_q[x;r], held as its skew coefficient vector."""
+class AdditivePoly(DensePoly):
+    """An element of F_q[x;r], held as its skew coefficient vector over field = F_q."""
 
-    __slots__ = ("tower", "coeffs")
+    __slots__ = ("tower",)
 
     def __init__(self, tower, coeffs=()):
-        zero = tower.fq.zero
-        cs = list(coeffs)
-        while cs and cs[-1] == zero:
-            cs.pop()
         self.tower = tower
-        self.coeffs = tuple(cs)
+        self.coeffs = self._trim(coeffs, tower.fq.zero)
 
-    @classmethod
-    def zero(cls, tower):
-        return cls(tower, ())
+    def _like(self, coeffs):
+        return AdditivePoly(self.tower, coeffs)
+
+    @property
+    def field(self):
+        return self.tower.fq
 
     @classmethod
     def identity(cls, tower):
@@ -51,99 +50,52 @@ class AdditivePoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.tower.fq.one
-
-    @property
     def is_squarefree(self):
         """Nonzero linear coefficient, i.e. nonzero derivative."""
         return bool(self.coeffs) and self.coeffs[0] != self.tower.fq.zero
-
-    def scale(self, c):
-        """Left scalar multiple (cx) o f."""
-        fq = self.tower.fq
-        return AdditivePoly(self.tower, [fq.mul(c, a) for a in self.coeffs])
-
-    def monic(self):
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(self.tower.fq.inv(self.coeffs[-1]))
 
     def _check(self, other):
         if not isinstance(other, AdditivePoly) or other.tower is not self.tower:
             raise InputError("additive polynomials live over different towers")
 
-    def __add__(self, other):
-        self._check(other)
-        fq = self.tower.fq
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = fq.add(out[i], c)
-        return AdditivePoly(self.tower, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        fq = self.tower.fq
-        return AdditivePoly(self.tower, [fq.neg(c) for c in self.coeffs])
-
     def __eq__(self, other):
-        return (
-            isinstance(other, AdditivePoly)
-            and self.tower is other.tower
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, AdditivePoly) and self.tower is other.tower and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((id(self.tower), self.coeffs))
 
-    def __repr__(self):
-        return f"AdditivePoly({[self.tower.fq.encode(c) for c in self.coeffs]})"
-
     def to_json(self):
-        fq = self.tower.fq
-        return {"r_exp": self.tower.e, "coeffs": [fq.encode(c) for c in self.coeffs]}
+        return {"r_exp": self.tower.e, "coeffs": self.encode()}
 
     @classmethod
     def from_json(cls, tower, obj):
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise InputError("additive polynomial encoding must be {r_exp, coeffs}")
-        r_exp = obj.get("r_exp")
-        if type(r_exp) is not int or r_exp != tower.e:  # true == 1, but is no exponent
-            raise InputError(f"r_exp {r_exp!r} does not match tower (expected {tower.e})")
-        coeffs = obj["coeffs"]
-        if not isinstance(coeffs, list):
-            raise InputError("coeffs must be a list of field-element encodings")
-        out = []
-        for i, c in enumerate(coeffs):
-            try:
-                out.append(tower.fq.decode(c))
-            except InputError as exc:
-                raise InputError(f"coefficient a_{i}: {exc}") from exc
-        return cls(tower, out)
+        return cls(tower, json_coefficients(obj, tower.e, tower.fq.decode))
+
+
+def json_coefficients(obj, e, check):
+    """check(c) for each coefficient c of an encoded f over a tower of this e, in a list; an
+    InputError names the coefficient. from_json decodes them; the CLI checks their shape
+    (ffield.encoding_shape) before it builds the tower."""
+    if not isinstance(obj, dict) or "coeffs" not in obj:
+        raise InputError("additive polynomial encoding must be {r_exp, coeffs}")
+    r_exp = obj.get("r_exp")
+    if type(r_exp) is not int or r_exp != e:  # true == 1, but is no exponent
+        raise InputError(f"r_exp {r_exp!r} does not match tower (expected {e})")
+    if not isinstance(obj["coeffs"], list):
+        raise InputError("coeffs must be a list of field-element encodings")
+    out = []
+    try:
+        for c in obj["coeffs"]:
+            out.append(check(c))
+    except InputError as exc:
+        raise InputError(f"coefficient a_{len(out)}: {exc}") from exc
+    return out
 
 
 def compose(g, h):
     """The skew product g o h."""
     g._check(h)
-    tower = g.tower
-    if g.is_zero or h.is_zero:
-        return AdditivePoly.zero(tower)
-    fq = tower.fq
-    out = [fq.zero] * (g.exponent + h.exponent + 1)
-    twists, width = _twists(h, len(g.coeffs)), len(h.coeffs)
-    for i, gi in enumerate(g.coeffs):
-        if gi != fq.zero:
-            out[i : i + width] = fq.vec_submul(out[i : i + width], fq.neg(gi), twists[i % len(twists)])
-    return AdditivePoly(tower, out)
+    return AdditivePoly(g.tower, _product(g.tower.fq, g.coeffs, _twists(h, len(g.coeffs))))
 
 
 def _twists(h, count):
@@ -151,23 +103,6 @@ def _twists(h, count):
     order of the r-power Frobenius on F_q, after which the twists repeat."""
     fq, r, order = h.tower.fq, h.tower.r, h.tower.sigma_r_order(h.tower.fq)
     return [list(h.coeffs)] + [[fq.pow(c, r**s) for c in h.coeffs] for s in range(1, min(count, order))]
-
-
-def _divide(fq, coeffs, twists):
-    """(quotient, remainder) coefficient lists of right division by the h of these twists.
-
-    Step s subtracts g_s x^(r^s) o h, whose coefficients are twist s mod the period.
-    """
-    m, zero = len(twists[0]) - 1, fq.zero
-    rem = list(coeffs)
-    quot = [zero] * (len(rem) - m)
-    for s in range(len(quot) - 1, -1, -1):
-        top = rem[s + m]
-        if top != zero:
-            twisted = twists[s % len(twists)]
-            quot[s] = g = fq.div(top, twisted[m])
-            rem[s : s + m + 1] = fq.vec_submul(rem[s : s + m + 1], g, twisted)
-    return quot, rem[:m]
 
 
 def right_divmod(f, h):
@@ -180,10 +115,7 @@ def right_divmod(f, h):
     if h.is_zero:
         raise ZeroDivisionError("right division by the zero polynomial")
     tower = f.tower
-    n, m = f.exponent, h.exponent
-    if n < m:
-        return AdditivePoly.zero(tower), f
-    quot, rem = _divide(tower.fq, f.coeffs, _twists(h, n - m + 1))
+    quot, rem = _divide(tower.fq, f.coeffs, _twists(h, f.exponent - h.exponent + 1))
     return AdditivePoly(tower, quot), AdditivePoly(tower, rem)
 
 
@@ -219,10 +151,8 @@ def upoly_to_central(tower, u):
     """Inverse transport: sum c_j y^j over F_r to the central sum c_j x^(q^j)."""
     if u.field is not tower.fr:
         raise InputError("polynomial must live over F_r of this tower")
-    if u.is_zero:
-        return AdditivePoly.zero(tower)
     k = tower.k
-    coeffs = [tower.fq.zero] * (k * u.degree + 1)
+    coeffs = [tower.fq.zero] * (k * u.degree + 1)  # none for u = 0
     for j, c in enumerate(u.coeffs):
         coeffs[j * k] = c  # F_r elements are F_q elements
     return AdditivePoly(tower, coeffs)

@@ -11,12 +11,13 @@ Identical JobSpecs produce byte-identical output.
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import latcount, oracle
-from .additive import AdditivePoly, projective_part, strip_inseparable, subadditive_image
+from .additive import AdditivePoly, json_coefficients, projective_part, strip_inseparable, subadditive_image
 from .additive import minimal_central_left_component  # noqa: F401 (bench/replay.py times mclc here)
 from .errors import AddpolyError, BudgetExceeded, InputError, InternalInconsistency
-from .ffield import tower_create
+from .ffield import encoding_shape, tower_create
 from .frobjordan import rational_jordan_form
 from .latcount import count_chains, count_lines, generating_function, mhat
 
@@ -137,7 +138,8 @@ JOBSPEC_FIELDS = {"p", "e", "k", "m_r", "m_q", "f"}.union(*(s for _, _, s in COM
 
 
 def _load(args):
-    """The polynomial f (None for mhat) and the settings of one parsed command."""
+    """The polynomial f (None for mhat) and the settings of one parsed command. What can be
+    checked without the tower is checked first, since building it may search long for m_q."""
     f, job = None, {}
     if args.command != "mhat":
         job = _read_jobspec(args.input)
@@ -148,12 +150,11 @@ def _load(args):
             if key not in job:
                 raise InputError(f"JobSpec is missing required field '{key}'")
             _integer(key, job[key])
-        tower = tower_create(
-            job["p"], job["e"], job["k"], m_r=job.get("m_r"), m_q=job.get("m_q")
-        )
         if "f" not in job:
             raise InputError("JobSpec is missing the polynomial field 'f'")
-        f = AdditivePoly.from_json(tower, job["f"])
+        e, k = job["e"], job["k"]
+        if e > 0 and k > 0:  # else tower_create names the fault; F_q has degree k over F_r (e if k = 1)
+            json_coefficients(job["f"], e, partial(encoding_shape, degree=k if k > 1 else e))
     settings = {"all": getattr(args, "all", False)}
     for name, default in COMMANDS[args.command][2].items():
         value = getattr(args, name)
@@ -165,6 +166,9 @@ def _load(args):
             raise InputError(f"{args.command} requires {name}")
         else:
             settings[name] = default
+    if args.command != "mhat":
+        tower = tower_create(job["p"], job["e"], job["k"], m_r=job.get("m_r"), m_q=job.get("m_q"))
+        f = AdditivePoly.from_json(tower, job["f"])
     return f, settings
 
 

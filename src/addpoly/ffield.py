@@ -103,6 +103,19 @@ def prime_field(p):
     return _PRIME_FIELDS[p]
 
 
+def encoding_shape(obj, degree):
+    """obj, if it has the top level of an element encoding of a field of this degree over
+    its base: an integer for F_p (degree 1), else a list of `degree` coordinates."""
+    if degree == 1:
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            raise InputError(f"prime-field coordinate must be an integer, got {obj!r}")
+    elif not isinstance(obj, list):
+        raise InputError(f"expected a length-{degree} coefficient list, got {obj!r}")
+    elif len(obj) != degree:
+        raise InputError(f"coefficient list has length {len(obj)}, expected {degree}")
+    return obj
+
+
 class PrimeField:
     """F_p with elements represented as integers in [0, p)."""
 
@@ -163,9 +176,7 @@ class PrimeField:
         return a
 
     def decode(self, obj):
-        if isinstance(obj, bool) or not isinstance(obj, int):
-            raise InputError(f"prime-field coordinate must be an integer, got {obj!r}")
-        if not 0 <= obj < self.p:
+        if not 0 <= encoding_shape(obj, 1) < self.p:
             raise InputError(f"prime-field coordinate {obj} out of range [0, {self.p})")
         return obj
 
@@ -462,11 +473,7 @@ class ExtensionField:
         return [self.base.encode(c) for c in _digits(a, self.base.size, self.degree)]
 
     def decode(self, obj):
-        if not isinstance(obj, list):
-            raise InputError(f"expected a length-{self.degree} coefficient list, got {obj!r}")
-        if len(obj) != self.degree:
-            raise InputError(f"coefficient list has length {len(obj)}, expected {self.degree}")
-        return _undigits([self.base.decode(c) for c in obj], self.base.size)
+        return _undigits([self.base.decode(c) for c in encoding_shape(obj, self.degree)], self.base.size)
 
     def vec_submul(self, u, c, v):
         sub, mul = self.sub, self.mul

@@ -1,4 +1,4 @@
-"""Dense commutative univariate polynomials over an explicit finite field.
+"""Dense polynomials over an explicit finite field: the core shared with F_q[x;r], and F[y].
 
 Coefficients are stored little-endian with a nonzero leading coefficient;
 the zero polynomial is the empty tuple. The indeterminate is written y
@@ -28,22 +28,109 @@ DEFAULT_ORDER_CAP = 1 << 16
 DEFAULT_ROOT_SCAN_CAP = 1 << 16
 
 
-class UPoly:
-    """An ordinary polynomial over a fixed finite field."""
+class DensePoly:
+    """Coefficients over the field `field`, low first, trimmed: zero is the empty tuple.
 
-    __slots__ = ("field", "coeffs")
+    F[y] is the skew ring with the identity twist (O. Ore, Ann. of Math. 34, 1933), so
+    UPoly and additive.AdditivePoly share this and _product and _divide. Each keeps its
+    ring, equality, hash and size, and _like(coeffs) builds an element of that ring."""
 
-    def __init__(self, field, coeffs=()):
-        zero = field.zero
+    __slots__ = ("coeffs",)
+
+    @staticmethod
+    def _trim(coeffs, zero):
         cs = list(coeffs)
         while cs and cs[-1] == zero:
             cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+        return tuple(cs)
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, ())
+    def zero(cls, ring):
+        return cls(ring, ())
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+
+    def scale(self, c):
+        """The scalar multiple c * self, c on the left."""
+        f = self.field
+        return self._like([f.mul(c, a) for a in self.coeffs])
+
+    def monic(self):
+        if self.is_zero or self.is_monic:
+            return self
+        return self.scale(self.field.inv(self.coeffs[-1]))
+
+    def __add__(self, other):
+        self._check(other)
+        f = self.field
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = f.add(out[i], c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        f = self.field
+        return self._like([f.neg(c) for c in self.coeffs])
+
+    def encode(self):
+        """Canonical JSON form: little-endian list of element encodings."""
+        return [self.field.encode(c) for c in self.coeffs]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.encode()})"
+
+
+def _product(field, a, twists):
+    """The coefficients of sum_i a_i y^i b_i, b_i = twists[i % len(twists)] the coefficients
+    of b under its i-th twist. One twist [b] gives a * b in F[y]; the r-power twists of h
+    give the skew product a o h in F_q[x; r]."""
+    width, zero = len(twists[0]), field.zero
+    out = [zero] * (len(a) + width - 1)
+    for i, ai in enumerate(a):
+        if ai != zero:
+            out[i : i + width] = field.vec_submul(out[i : i + width], field.neg(ai), twists[i % len(twists)])
+    return out
+
+
+def _divide(field, coeffs, twists):
+    """(quotient, remainder) coefficient lists of long division by the nonzero b of these
+    twists, as in _product: step s subtracts q_s y^s b_s. One twist [b] divides in F[y];
+    the r-power twists of h divide on the right in F_q[x; r]."""
+    m, zero = len(twists[0]) - 1, field.zero
+    inverses = [field.inv(b[m]) for b in twists]  # b_s's leading coefficient, inverted once
+    rem = list(coeffs)
+    quot = [zero] * (len(rem) - m)
+    for s in range(len(quot) - 1, -1, -1):
+        top = rem[s + m]
+        if top != zero:
+            quot[s] = c = field.mul(top, inverses[s % len(twists)])
+            rem[s : s + m + 1] = field.vec_submul(rem[s : s + m + 1], c, twists[s % len(twists)])
+    return quot, rem[:m]
+
+
+class UPoly(DensePoly):
+    """An ordinary polynomial over a fixed finite field."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field, coeffs=()):
+        self.field = field
+        self.coeffs = self._trim(coeffs, field.zero)
+
+    def _like(self, coeffs):
+        return UPoly(self.field, coeffs)
 
     @classmethod
     def one(cls, field):
@@ -59,27 +146,13 @@ class UPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
     def lc(self):
         if not self.coeffs:
             raise InputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
-    def monic(self):
-        if self.is_zero or self.is_monic:
-            return self
-        inv = self.field.inv(self.lc)
-        return UPoly(self.field, [self.field.mul(inv, c) for c in self.coeffs])
 
     def evaluate(self, a):
         f = self.field
@@ -102,29 +175,11 @@ class UPoly:
         if not isinstance(other, UPoly) or other.field is not self.field:
             raise InputError("polynomials live over different fields")
 
-    def __add__(self, other):
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return UPoly(f, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.field
-        return UPoly(f, [f.neg(c) for c in self.coeffs])
-
     def __mul__(self, other):
         self._check(other)
         f, p, a, b = self.field, self.field.char, self.coeffs, other.coeffs
         if f.size != p or not a or not b:
-            return UPoly(f, _mul_schoolbook(f, a, b))
+            return UPoly(f, _product(f, a, [b]))
         if p == 2:
             return UPoly(f, _from_mask(_clmul(_to_mask(a), _to_mask(b))))
         s = _width(p, min(len(a), len(b)))
@@ -133,13 +188,11 @@ class UPoly:
     def __pow__(self, n):
         if n < 0:
             raise InputError("negative polynomial power")
-        result = UPoly.one(self.field)
-        base = self
+        result, base = UPoly.one(self.field), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
+            base, n = base * base, n >> 1
         return result
 
     def __divmod__(self, other):
@@ -154,19 +207,9 @@ class UPoly:
             return UPoly(f, _from_mask(quot)), UPoly(f, _from_mask(rem))
         if f.size == f.char:
             quot, rem = _slot_divmod(f.char, self.coeffs, other.coeffs)
-            return UPoly(f, quot), UPoly(f, rem)
-        rem = list(self.coeffs)
-        dn, dm = self.degree, other.degree
-        inv_lc = f.inv(other.lc)
-        quot = [f.zero] * (dn - dm + 1)
-        for s in range(dn - dm, -1, -1):
-            c = rem[s + dm]
-            if c == f.zero:
-                continue
-            g = f.mul(c, inv_lc)
-            quot[s] = g
-            rem[s : s + dm + 1] = f.vec_submul(rem[s : s + dm + 1], g, other.coeffs)
-        return UPoly(f, quot), UPoly(f, rem[:dm])
+        else:
+            quot, rem = _divide(f, self.coeffs, [other.coeffs])
+        return UPoly(f, quot), UPoly(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -175,39 +218,19 @@ class UPoly:
         return divmod(self, other)[1]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, UPoly)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, UPoly) and self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
-    def __repr__(self):
-        return f"UPoly({self.encode()})"
-
     def sort_key(self):
         return (self.degree, tuple(self.field.to_index(c) for c in self.coeffs))
-
-    def encode(self):
-        """Canonical JSON form: little-endian list of element encodings."""
-        return [self.field.encode(c) for c in self.coeffs]
 
     @classmethod
     def decode(cls, field, obj):
         if not isinstance(obj, list):
             raise InputError("polynomial encoding must be a list of coefficients")
         return cls(field, [field.decode(c) for c in obj])
-
-
-def _mul_schoolbook(field, a, b):
-    out = [field.zero] * (len(a) + len(b) - 1)
-    width = len(b)
-    for i, ai in enumerate(a):
-        if ai != field.zero:
-            out[i : i + width] = field.vec_submul(out[i : i + width], field.neg(ai), b)
-    return out
 
 
 # Packed arithmetic over F_p (the idiom of NTL's GF2X and zz_pX). Over F_2 a

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,8 +214,6 @@ def _jobspec_f2(coeffs):
 
 @pytest.mark.parametrize("max_ext", ["5000", "0"])
 def test_verify_max_ext_outside_its_range_is_an_input_error(capsys, monkeypatch, max_ext):
-    import time
-
     job = _jobspec_f2([1, 0, 1] + [0] * 8 + [1])  # x^(2^11) + x^4 + x, order 2047
     t0 = time.perf_counter()
     code, out = run(capsys, ["verify", "--max-ext", max_ext], stdin=job, monkeypatch=monkeypatch)
@@ -328,8 +327,6 @@ def test_mhat_past_its_partition_budget_is_exit_3(capsys, n):
 @pytest.mark.parametrize("p,e,k", [(2, 8, 16), (2, 8, 8), (2, 16, 4)])
 def test_tower_past_the_m_q_search_cap_is_exit_3(capsys, monkeypatch, p, e, k):
     # each of these default constructions searched for over 10 s; the cap refuses them at once
-    import time
-
     zero, one = [[0] * e] * k, [[1] + [0] * (e - 1)] + [[0] * e] * (k - 1)
     job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, zero, one]}}
     start = time.perf_counter()
@@ -339,6 +336,26 @@ def test_tower_past_the_m_q_search_cap_is_exit_3(capsys, monkeypatch, p, e, k):
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "BudgetExceeded"
+
+
+def test_malformed_f_is_refused_before_a_slow_tower_is_built():
+    # this tower's default m_q search runs for tens of seconds; f's shape is checked first
+    job = {"p": 2, "e": 1, "k": 2000, "f": {"r_exp": 1, "coeffs": [1, 1]}}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "addpoly.cli", "species"],
+        input=json.dumps(job),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 2, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == "coefficient a_0: expected a length-2000 coefficient list, got 1"
 
 
 def test_tower_over_a_large_prime_runs_in_bounded_memory():

@@ -23,7 +23,7 @@ B = upoly._BLOCK
 # planted factor degrees: small ones, both sides of the first two block boundaries
 PLANTED_DEGREES = (1, 2, 3, B - 1, B, B + 1, B + 3, 2 * B, 2 * B + 1)
 
-derandomized = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+derandomized = settings(max_examples=25)
 
 
 def random_irreducible(field, degree, rng):

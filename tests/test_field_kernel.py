@@ -140,7 +140,7 @@ def test_field_laws_above_the_tables(key, ext_degree):
     def frob(x):
         return tw.frob_r(level, x, 1)
 
-    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(element, element, element)
     def laws(a, b, c):
         mul, add = level.mul, level.add

@@ -1,5 +1,5 @@
-"""Property checks of the skew-ring kernel: packed F_2 span tracking, right
-division and gcrc.
+"""Property checks of the skew-ring kernel: packed F_2 span tracking, the ring
+laws of compose, right division, gcrc, and the species read from them.
 
 The packed SpanTracker is compared with the list elimination of
 linalg.echelon_insert on the same vectors; divisions are certified by
@@ -12,15 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addpoly.additive import AdditivePoly, compose, gcrc, minimal_central_left_component, right_divmod
+from addpoly.frobjordan import rational_jordan_form
+from addpoly.latcount import generating_function
 from addpoly.linalg import SpanTracker, echelon_insert
 from corpus import tower
 from helpers import random_additive
 
 F2 = tower(2, 1, 1).fr
 SKEW_TOWERS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2))
+LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (3, 1, 2))
 MAX_EXPONENT = 9
 
-derandomized = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+derandomized = settings(max_examples=40)
 
 
 def bit_rows():
@@ -68,6 +71,40 @@ def skew_pairs(max_exponent=MAX_EXPONENT):
 def poly(shape, indices):
     tw = tower(*shape)
     return AdditivePoly(tw, [tw.fq.from_index(i) for i in indices])
+
+
+def skew_triples(max_exponent=5):
+    """(tower, a, b, c) over LAW_TOWERS; any of them may be zero."""
+
+    def triple(shape):
+        coeffs = st.lists(st.integers(0, tower(*shape).fq.size - 1), max_size=max_exponent + 1)
+        return st.tuples(st.just(shape), coeffs, coeffs, coeffs)
+
+    return st.sampled_from(LAW_TOWERS).flatmap(triple)
+
+
+@derandomized
+@given(skew_triples())
+@example(((2, 2, 2), [], [3, 1], [2]))
+@example(((3, 1, 2), [0, 4, 0, 8], [7, 1, 5], [1, 2, 3, 4, 5, 6]))
+def test_compose_obeys_the_ring_laws(case):
+    shape, *coeffs = case
+    a, b, c = (poly(shape, cs) for cs in coeffs)
+    x = AdditivePoly.identity(a.tower)
+    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert compose(a, b + c) == compose(a, b) + compose(a, c)
+    assert compose(a + b, c) == compose(a, c) + compose(b, c)
+    assert compose(x, a) == a == compose(a, x)
+
+
+@derandomized
+@given(st.sampled_from(LAW_TOWERS), st.integers(1, 24), st.integers(0, 2**32))
+def test_species_has_dimension_n_and_a_palindromic_generating_function(shape, n, seed):
+    tw = tower(*shape)
+    species = rational_jordan_form(random_additive(tw, n, random.Random(seed))).species
+    assert species.dimension() == n
+    g = list(generating_function(species, tw.r))
+    assert g == g[::-1] and len(g) == n + 1 and g[0] == 1
 
 
 @derandomized

@@ -1,8 +1,11 @@
 """Property checks of the packed prime-field products, divisions, gcds and
-modular powers in upoly.
+modular powers in upoly, and of the products and divisions over non-prime fields.
 
-Every expected value comes from plain-int schoolbook arithmetic mod p, which
-shares nothing with the bit-mask, Kronecker-slot and Barrett code under test.
+Over F_p every expected value comes from plain-int schoolbook arithmetic mod p,
+which shares nothing with the bit-mask, Kronecker-slot and Barrett code under
+test. Over F_4, F_9, F_16 and F_(2^32) it comes from schoolbook arithmetic on
+helpers.TupleExtensionField, which shares nothing with upoly._product and
+upoly._divide.
 """
 
 import pytest
@@ -11,14 +14,19 @@ from hypothesis import strategies as st
 
 from addpoly.ffield import prime_field
 from addpoly.upoly import UPoly, gcd, powmod
+from corpus import tower
+from helpers import TupleExtensionField
 
 PRIMES = (2, 3, 5, 2**31 - 1)
+# F_q of these towers (p, e, k): F_4, F_9, F_16 over F_4, and F_(2^32) multiplied in flat coordinates
+EXTENSIONS = {"F4": (2, 1, 2), "F9": (3, 1, 2), "F16": (2, 2, 2), "F2^32": (2, 32, 1)}
+EXTENSION_DEGREE = 16
 # gcd and powmod also run on primes with two-byte slots (7, 13, 17)
 EUCLID_PRIMES = (2, 3, 5, 7, 13, 17, 2**31 - 1)
 MAX_DEGREE = 300
 EUCLID_DEGREE = 40
 
-derandomized = settings(derandomize=True, database=None, max_examples=12, deadline=None)
+derandomized = settings(max_examples=12)
 
 
 def coefficient_lists(p, min_degree=-1, max_degree=MAX_DEGREE):
@@ -57,6 +65,33 @@ def add(p, a, b):
     return strip((x + y) % p for x, y in zip(a, b))
 
 
+def arithmetic(p):
+    """(field, largest degree drawn, product, sum) for a prime p or a name in EXTENSIONS:
+    the reference product and sum take and return coefficient lists of element indices."""
+    if p in PRIMES:
+        return prime_field(p), MAX_DEGREE, lambda a, b: convolve(p, a, b), lambda a, b: add(p, a, b)
+    tw = tower(*EXTENSIONS[p])
+    ref = tw.fp
+    for level in (tw.fr, tw.fq):  # the same construction polynomials, so an element is its index
+        if level.size != ref.size:
+            ref = TupleExtensionField(ref, [ref.from_index(c) for c in level.modulus])
+
+    def product(a, b):
+        a, b = [ref.from_index(c) for c in a], [ref.from_index(c) for c in b]
+        out = [ref.zero] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = ref.add(out[i + j], ref.mul(x, y))
+        return strip(map(ref.to_index, out))
+
+    def plus(a, b):
+        n = max(len(a), len(b))
+        a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+        return strip(ref.to_index(ref.add(ref.from_index(x), ref.from_index(y))) for x, y in zip(a, b))
+
+    return tw.fq, EXTENSION_DEGREE, product, plus
+
+
 def remainder(p, a, b):
     """a mod b by schoolbook long division, b nonzero with no trailing zeros."""
     rem, inv = list(strip(a)), pow(b[-1], p - 2, p)
@@ -86,38 +121,40 @@ def power_mod(p, a, n, m):
     return result
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + tuple(EXTENSIONS))
 def test_product_matches_plain_convolution(p):
-    field = prime_field(p)
+    field, degree, product, _ = arithmetic(p)
+    size, top = field.size, field.size - 1
 
     @derandomized
-    @given(coefficient_lists(p), coefficient_lists(p))
+    @given(coefficient_lists(size, max_degree=degree), coefficient_lists(size, max_degree=degree))
     @example([], [])
     @example([], [1])
-    @example([p - 1] * (MAX_DEGREE + 1), [p - 1] * (MAX_DEGREE + 1))
-    @example([p - 1] * (255 // (p - 1) ** 2), [p - 1] * MAX_DEGREE)  # the fullest one-byte slots
-    @example([p - 1] * (255 // (p - 1) ** 2 + 1), [p - 1] * MAX_DEGREE)  # the first that need two
+    @example([top] * (degree + 1), [top] * (degree + 1))
+    @example([top] * (255 // top**2), [top] * degree)  # over F_p, the fullest one-byte slots
+    @example([top] * (255 // top**2 + 1), [top] * degree)  # and the first that need two
     def check(a, b):
         got = UPoly(field, a) * UPoly(field, b)
-        assert got.coeffs == convolve(p, strip(a), strip(b))
+        assert got.coeffs == product(strip(a), strip(b))
 
     check()
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + tuple(EXTENSIONS))
 def test_divmod_is_euclidean_division(p):
-    field = prime_field(p)
+    field, degree, product, plus = arithmetic(p)
+    size, top = field.size, field.size - 1
 
     @derandomized
-    @given(coefficient_lists(p), divisor_lists(p))
+    @given(coefficient_lists(size, max_degree=degree), divisor_lists(size, degree + 1))
     @example([], [1])
-    @example([p - 1] * (MAX_DEGREE + 1), [p - 1])
-    @example([p - 1] * (MAX_DEGREE + 1), [1] * MAX_DEGREE + [p - 1])
+    @example([top] * (degree + 1), [top])
+    @example([top] * (degree + 1), [1] * degree + [top])
     def check(a, b):
         q, r = divmod(UPoly(field, a), UPoly(field, b))
-        assert add(p, convolve(p, q.coeffs, strip(b)), r.coeffs) == strip(a)
+        assert plus(product(q.coeffs, strip(b)), r.coeffs) == strip(a)
         assert r.degree < len(strip(b)) - 1
-        assert all(0 <= c < p for c in q.coeffs + r.coeffs)
+        assert all(0 <= c < size for c in q.coeffs + r.coeffs)
 
     check()
 
