@@ -16,11 +16,11 @@ Larger levels multiply in flat F_p coordinates, also built on first use: the
 nested digits over a prime base, else the coordinates in the powers of one
 generator theta over F_p, reached by F_p-linear maps (compatible embeddings
 as in W. Bosma, J. Cannon, A. Steel, J. Symbolic Comput. 24, 1997). There a
-product is upoly._barrett's product modulo theta's minimal polynomial over
-F_p: bit masks over F_2 (the idiom of NTL's GF2X), packed slots reduced by
-Barrett's method over odd p. This module only converts an element's int to
-and from its F_p digits. Over F_2 addition is xor at every level; above the
-tables, odd p <= 36 adds F_p digits held in the byte slots of one int.
+product is taken modulo theta's minimal polynomial M over F_p: over F_2 one
+carry-less product of bit masks, its high bits folded by byte tables of M
+(gf2x.packed), over odd p upoly._barrett's Barrett product on byte slots.
+Only conversions of an int to and from its F_p digits live here. Over F_2
+addition is xor; above the tables odd p <= 36 adds digits in byte slots.
 
 The JSON encoding nests like the digits: a bare integer per prime-field
 coordinate and little-endian coefficient lists at extension levels, e.g. the
@@ -31,32 +31,24 @@ of its degree (coefficients compared low-to-high as integers).
 
 import sys
 from array import array
-from functools import partial, reduce
+from functools import partial
 from itertools import product
-from operator import getitem, mul, pos, xor
+from math import log2
+from operator import mul, pos, xor
 
 from . import linalg, upoly
 from .errors import BudgetExceeded, InputError, NotInSubfield
-from .upoly import _clmul, _mask_divmod
+from .gf2x import clmul, linear_map, mask_divmod, packed
+from .upoly import _digits
 
 # Largest level with log/antilog tables. Building them costs O(size) steps
 # (about 25 ms at 2^16 elements), which a level must earn back in lookups;
 # the oracle's F_(2^14) and F_(2^15) see under 2000 products per job.
 TABLE_SIZE = 1 << 12
-# Largest q for which the default m_q is searched for over a non-prime F_r.
-# The lexicographic search can meet long runs of reducible candidates: it took
-# 2.1 s at q = 2^48 over F_(2^6) and over 10 s at q = 2^64 over F_(2^8); every
-# measured q <= 2^40 took under 0.6 s.
-SEARCH_Q_CAP = 1 << 40
-
-
-def _digits(x, base, count):
-    """The low `count` base-`base` digits of x, low first."""
-    out = []
-    for _ in range(count):
-        x, d = divmod(x, base)
-        out.append(d)
-    return out
+# Largest levels, in bits, whose construction polynomial is searched for by default: over
+# F_p 0.3 s at 2^1000, 28 s at 2^2000, 5.3 s at 31^200; over a non-prime F_r runs of reducible
+# candidates took 25 s at q = 2^64 over F_256, under 0.6 s at every q <= 2^40 measured.
+SEARCH_BITS, SEARCH_Q_BITS = 1000, 40
 
 
 def _undigits(digits, base):
@@ -209,7 +201,6 @@ class ExtensionField:
         self.char = p = base.char
         self.dim = base.dim * self.degree  # number of F_p digits
         self.zero, self.one = 0, 1
-        self._mask = _undigits(modulus, 2) if base.size == 2 else 0  # the modulus as a bit mask
         # dim * (p-1)^2 < 256 lets _use_tables hold F_p digits in byte slots
         self._small = self.size <= TABLE_SIZE and self.dim * (p - 1) ** 2 < 256
         if p == 2:
@@ -254,13 +245,13 @@ class ExtensionField:
     def _inv_poly(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        if not self._mask:
+        if self.base.size != 2:
             return self._pow_poly(a, self.size - 2)
         # extended Euclid on bit masks: s1 * a = r1 mod the modulus throughout
-        r0, r1, s0, s1 = self._mask, a, 0, 1
+        r0, r1, s0, s1 = _undigits(self.modulus, 2), a, 0, 1
         while r1 != 1:
-            quot, rem = _mask_divmod(r0, r1)
-            r0, r1, s0, s1 = r1, rem, s1, s0 ^ _clmul(quot, s1)
+            quot, rem = mask_divmod(r1, r0)
+            r0, r1, s0, s1 = r1, rem, s1, s0 ^ clmul(quot, s1)
         return s1
 
     def _add_digits(self, a, b, sign=1):
@@ -310,17 +301,17 @@ class ExtensionField:
         p, n = self.char, self.dim
         slots, value = self._use_slots() if 2 < p <= 36 else (None, None)
         if self.base.size == p:
-            self._flat = pos, pos, self
-            s, pack, unpack, mulmod = upoly._barrett(p, self.modulus)
-            if p == 2:  # the ints are the bit masks
-                self.mul = mulmod
-            elif s == 1:  # the memoized one-byte slots are the packed ints
+            self._flat, self.pow, self.inv = (pos, pos, self), self._pow_poly, self._inv_poly
+            if p == 2:  # the ints are the bit masks: a carry-less product, reduced by byte tables
+                self.mul = packed(self).mul
+                return
+            s, pack, unpack, mulmod = upoly._barrett(self.base, self.modulus)
+            if s == 1:  # the memoized one-byte slots are the packed ints
                 self.mul = lambda a, b: value(mulmod(slots(a), slots(b)))
             else:
                 self.mul = lambda a, b: _undigits(
                     unpack(mulmod(pack(_digits(a, p, n)), pack(_digits(b, p, n)))), p
                 )
-            self.pow, self.inv = self._pow_poly, self._inv_poly
             return
         fp = prime_field(p)
         for theta in range(self.base.size, self.size):
@@ -351,13 +342,7 @@ class ExtensionField:
         of the columns packed in slots too wide to carry (upoly._pack)."""
         p, n = self.char, self.dim
         if p == 2:
-            tables = []
-            for j in range(0, n, 8):
-                t = [0]
-                for col in cols[j : j + 8]:
-                    t += [v ^ col for v in t]
-                tables.append(t)
-            return lambda x: reduce(xor, map(getitem, tables, x.to_bytes(len(tables), "little")), 0)
+            return linear_map(cols)
         s = upoly._width(p, n)
         packed = [upoly._pack(p, _digits(col, p, n), s) for col in cols]
         return lambda x: _undigits(upoly._unpack(p, sum(map(mul, _digits(x, p, n), packed)), n, s), p)
@@ -497,16 +482,15 @@ class FieldTower:
         self.e = e
         self.k = k
         self.fp = prime_field(p)
-        self.r = p**e
-        self.q = self.r**k
-        if m_q is None and e > 1 and k > 1 and self.q > SEARCH_Q_CAP:
-            cap = f"2^{SEARCH_Q_CAP.bit_length() - 1}"
-            raise BudgetExceeded(f"m_q search over F_{self.r} for q = {p}^{e * k} exceeds cap {cap}; give m_q")
+        q_cap = SEARCH_BITS if e == 1 else SEARCH_Q_BITS  # m_q is searched for over F_p, or over F_r
+        for name, given, n, dim, cap in (("m_r", m_r, e, e, SEARCH_BITS), ("m_q", m_q, k, e * k, q_cap)):
+            if given is None and n > 1 and dim * log2(p) > cap:
+                raise BudgetExceeded(f"{name} search for F_{p}^{dim} exceeds cap 2^{cap} elements; give {name}")
         self.m_r = self._construction(self.fp, e, m_r, "m_r")
         self.fr = self.fp if e == 1 else ExtensionField(self.fp, self.m_r.coeffs)
         self.m_q = self._construction(self.fr, k, m_q, "m_q")
         self.fq = self.fr if k == 1 else ExtensionField(self.fr, self.m_q.coeffs)
-        self._ext = {1: self.fq}
+        self.r, self.q, self._ext = p**e, p ** (e * k), {1: self.fq}
 
     @staticmethod
     def _construction(field, degree, override, name):

@@ -1,0 +1,109 @@
+"""Polynomials over F_2 and each F_(2^e) = F_2[t]/(m) above it as packed ints, as NTL's GF2X and
+GF2EX: over F_2 a bit mask, bit i the coefficient of y^i; over F_(2^e) coefficient i's e bits at
+offset i(2e - 1), Kronecker substitution (von zur Gathen, Gerhard, Modern Computer Algebra, 8.4)."""
+
+import collections
+import functools
+from operator import getitem, xor
+
+_TO_BITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def to_mask(coeffs):
+    return int(bytes(coeffs[::-1]).translate(_TO_BITS), 2) if coeffs else 0
+
+
+def from_mask(x):
+    return tuple(bin(x)[:1:-1].encode().translate(_FROM_BITS))
+
+
+def clmul(a, b):
+    """Carry-less product of bit masks; a square spreads its bits."""
+    if a == b:
+        return int("0".join(bin(a)[2:]), 2)
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    out = 0
+    for i, bit in enumerate(bin(b)[:1:-1]):
+        if bit == "1":
+            out ^= a << i
+    return out
+
+
+def mask_divmod(b, a):
+    """Quotient and remainder of bit mask a by b != 0 (divisor first): shifted-xor long division."""
+    quot, db = 0, b.bit_length()
+    while a.bit_length() >= db:
+        shift = a.bit_length() - db
+        quot |= 1 << shift
+        a ^= b << shift
+    return quot, a
+
+
+def linear_map(cols):
+    """x -> the xor of cols[i] over the set bits i of x, by one table per byte of x."""
+    span = functools.partial(functools.reduce, lambda t, col: t + [v ^ col for v in t])
+    tables = [span(cols[j : j + 8], [0]) for j in range(0, len(cols), 8)]
+    return lambda x: functools.reduce(xor, map(getitem, tables, x.to_bytes(len(tables), "little")), 0)
+
+
+Packed = collections.namedtuple("Packed", "pack unpack mul divider divmod")
+
+
+@functools.lru_cache(maxsize=64)
+def packed(field):
+    """The kernel of F_2 = F_2[t]/(t), or of a level F_2[t]/(m) of degree e over it (else None):
+    w = 2e - 1 bits per coefficient, each group of a carry-less product reduced mod m, up to e = 8
+    one high bit at a time in all groups at once, above group by group through byte tables of
+    t^e h -> h t^e mod m built once per field. divider(b): x -> (x // b, x % b), each quotient
+    term c xoring one shifted t^j b per set bit of c, the e multiples built once; divmod(b, x)."""
+    if getattr(field, "base", field).size != 2:
+        return None
+    m = to_mask(getattr(field, "modulus", (0, 1)))
+    e, fold = m.bit_length() - 1, None
+    if e == 1:
+        return Packed(to_mask, from_mask, clmul, functools.partial(functools.partial, mask_divmod), mask_divmod)
+    w, low, unit = 2 * e - 1, (1 << e) - 1, (1 << 2 * e - 1) - 1
+
+    def mul(a, b):
+        x = clmul(a, b)
+        if fold:
+            return sum((x >> i & low ^ fold(x >> i + e & low >> 1)) << i for i in range(0, x.bit_length(), w))
+        g = ((1 << (x.bit_length() // w + 1) * w) - 1) // unit  # bit 0 of every group
+        for j in range(2 * e - 2, e - 1, -1):
+            x ^= (x >> j & g) * m << j - e
+        return x
+
+    if e > 8:  # columns t^e, ..., t^(2e-2) mod m
+        fold = linear_map([mul(1 << j, 1 << e) for j in range(e - 1)])
+
+    def divider(b):
+        top = (b.bit_length() - 1) // w
+        inv, g, mults = field.inv(b >> top * w), ((1 << (top + 1) * w) - 1) // unit, [b]
+        if not top:  # a constant
+            return lambda x: (mul(x, inv) if inv != 1 else x, 0)
+        for _ in range(e - 1):
+            mults.append(mults[-1] << 1 ^ (mults[-1] >> e - 1 & g) * m)
+
+        def divide(x):
+            quot = 0
+            for g in range((x.bit_length() - 1) // w, top - 1, -1):  # x's groups from the top
+                c = field.mul(x >> g * w, inv) if inv != 1 else x >> g * w
+                if c:
+                    quot |= c << (g - top) * w
+                    x ^= functools.reduce(xor, (t for t, d in zip(mults, bin(c)[:1:-1]) if d == "1")) << (g - top) * w
+            return quot, x
+
+        return divide
+
+    def pack(coeffs):
+        x = 0
+        for c in reversed(coeffs):
+            x = x << w | c
+        return x
+
+    return Packed(
+        pack, lambda x: tuple(x >> i & low for i in range(0, x.bit_length(), w)), mul, divider,
+        lambda b, x: divider(b)(x),
+    )

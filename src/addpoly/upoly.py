@@ -8,9 +8,9 @@ The field is any object with the small arithmetic protocol used across this
 package (zero/one attributes, add/sub/neg/mul/inv/div/pow, size, char,
 from_index/to_index, elements, encode/decode); see ffield for the concrete
 implementations. Factorization is complete over any such field: squarefree
-decomposition with p-th-root descent, distinct-degree splitting (stopped at
-its first factor, Ben-Or's irreducibility test), then random equal-degree
-splitting from a fixed generator state, on packed ints over a prime field.
+decomposition, distinct-degree splitting (stopped at its first factor: Ben-Or),
+random equal-degree splitting from a fixed state, on packed ints over F_p and
+over F_(2^e): (2e-1)-bit groups, reduced by high bits or byte tables (gf2x).
 Over an odd prime field, distinct-degree splitting takes one gcd per block of
 degrees, not one per degree: the interval trick of V. Shoup, "A new polynomial
 factorization algorithm and its implementation", J. Symbolic Comput. 20
@@ -21,8 +21,10 @@ factoring polynomials", Comput. Complexity 2 (1992).
 import functools
 import random
 from itertools import repeat
+from operator import add, xor
 
 from .errors import BudgetExceeded, InputError, InternalInconsistency, Overflow
+from .gf2x import packed
 
 DEFAULT_ORDER_CAP = 1 << 16
 DEFAULT_ROOT_SCAN_CAP = 1 << 16
@@ -62,7 +64,7 @@ class DensePoly:
         return self._like([f.mul(c, a) for a in self.coeffs])
 
     def monic(self):
-        if self.is_zero or self.is_monic:
+        if not self.coeffs or self.coeffs[-1] == self.field.one:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
@@ -145,15 +147,6 @@ class UPoly(DensePoly):
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def lc(self):
-        if not self.coeffs:
-            raise InputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
     def evaluate(self, a):
         f = self.field
         acc = f.zero
@@ -177,11 +170,11 @@ class UPoly(DensePoly):
 
     def __mul__(self, other):
         self._check(other)
-        f, p, a, b = self.field, self.field.char, self.coeffs, other.coeffs
+        f, p, a, b, k = self.field, self.field.char, self.coeffs, other.coeffs, packed(self.field)
+        if k:
+            return UPoly(f, k.unpack(k.mul(k.pack(a), k.pack(b))))
         if f.size != p or not a or not b:
             return UPoly(f, _product(f, a, [b]))
-        if p == 2:
-            return UPoly(f, _from_mask(_clmul(_to_mask(a), _to_mask(b))))
         s = _width(p, min(len(a), len(b)))
         return UPoly(f, _unpack(p, _pack(p, a, s) * _pack(p, b, s), len(a) + len(b) - 1, s))
 
@@ -197,14 +190,14 @@ class UPoly(DensePoly):
 
     def __divmod__(self, other):
         self._check(other)
-        f = self.field
+        f, k = self.field, packed(self.field)
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.degree < other.degree:
             return UPoly.zero(f), self
-        if f.size == 2:
-            quot, rem = _mask_divmod(_to_mask(self.coeffs), _to_mask(other.coeffs))
-            return UPoly(f, _from_mask(quot)), UPoly(f, _from_mask(rem))
+        if k:
+            quot, rem = k.divmod(k.pack(other.coeffs), k.pack(self.coeffs))
+            return UPoly(f, k.unpack(quot)), UPoly(f, k.unpack(rem))
         if f.size == f.char:
             quot, rem = _slot_divmod(f.char, self.coeffs, other.coeffs)
         else:
@@ -233,47 +226,20 @@ class UPoly(DensePoly):
         return cls(field, [field.decode(c) for c in obj])
 
 
-# Packed arithmetic over F_p (the idiom of NTL's GF2X and zz_pX). Over F_2 a
-# polynomial is a bit mask: bit i holds the coefficient of y^i. Over odd p the
-# coefficients are s-byte slots of one int, converted by bytes and int
-# builtins. Slot sums grow with each product or division step and are taken
-# mod p only before one could carry: whole byte planes by translation tables
-# when s * p < 256 (twice as fast as slot by slot on F_3 and F_5). Euclid and
-# Barrett reduction run on these ints (J. von zur Gathen, J. Gerhard, Modern
-# Computer Algebra, ch. 9 and 14).
-_TO_BITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _to_mask(coeffs):
-    return int(bytes(coeffs[::-1]).translate(_TO_BITS), 2) if coeffs else 0
-
-
-def _from_mask(x):
-    return tuple(bin(x)[:1:-1].encode().translate(_FROM_BITS))
-
-
-def _clmul(a, b):
-    """Carry-less product of two bit masks."""
-    if a.bit_length() < b.bit_length():
-        a, b = b, a
-    out = 0
-    for i, bit in enumerate(bin(b)[:1:-1]):
-        if bit == "1":
-            out ^= a << i
+def _digits(x, base, count):
+    """The low `count` base-`base` digits of x, low first."""
+    out = []
+    for _ in range(count):
+        x, d = divmod(x, base)
+        out.append(d)
     return out
 
 
-def _mask_divmod(a, b):
-    """Quotient and remainder of bit masks, b nonzero: shifted-xor long division."""
-    quot, db = 0, b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        quot |= 1 << shift
-        a ^= b << shift
-    return quot, a
-
-
+# Packed arithmetic over odd p (NTL's zz_pX; over F_2 and F_(2^e), gf2x): coefficients in
+# s-byte slots of one int, converted by bytes and int builtins. Slot sums grow with each
+# product or division step and are taken mod p only before one could carry: whole byte
+# planes by translation tables when s * p < 256 (twice as fast as slot by slot on F_3, F_5).
+# Euclid and Barrett run on these ints (von zur Gathen, Gerhard, Modern Comp. Alg., 9, 14).
 @functools.cache
 def _residues(p, j):
     """Translation table: byte b to (b * 256^j) mod p."""
@@ -328,13 +294,14 @@ def _slot_divmod(p, a, b):
 
 
 def gcd(a, b):
-    """Monic greatest common divisor: Euclid on bit masks over F_2, in packed slots over odd p."""
-    f = a.field
-    if f.size == 2:
-        x, y = _to_mask(a.coeffs), _to_mask(b.coeffs)
+    """Monic greatest common divisor: Euclid on packed ints over F_2 and the F_(2^e) above
+    it, in packed slots over odd p."""
+    f, k = a.field, packed(a.field)
+    if k:
+        x, y, divide = k.pack(a.coeffs), k.pack(b.coeffs), k.divmod
         while y:
-            x, y = y, _mask_divmod(x, y)[1]
-        return UPoly(f, _from_mask(x))
+            x, y = y, divide(y, x)[1]
+        return UPoly(f, k.unpack(x)).monic()
     if f.size == f.char:
         x, y = a.coeffs, b.coeffs
         while y:
@@ -351,17 +318,19 @@ def _width(p, terms):
 
 
 @functools.lru_cache(maxsize=64)
-def _barrett(p, m):
-    """(s, pack, unpack, mulmod): products mod m, of degree d over F_p, on packed ints of
-    degree < d. Over F_2 these are bit masks (s = 0), reduced by long division. Over odd
-    p they hold s-byte slots, reduced by Barrett's method: the quotient of a product by m
-    is the top of (high half) * (y^(2d-2) // m), built once per modulus. Each of the three
-    products sums at most d terms below (p-1)^2 in a slot, and the last adds a residue
-    below p to at most d-1 of them, so d(p-1)^2 < 256^s keeps every slot from carrying."""
-    d = len(m) - 1
-    if p == 2:
-        mask = _to_mask(m)
-        return 0, _to_mask, _from_mask, lambda u, v: _mask_divmod(_clmul(u, v), mask)[1]
+def _barrett(field, m):
+    """(s, pack, unpack, mulmod): products mod m, of degree d over `field`, on packed ints of
+    degree < d: gf2x.packed's over F_2 and above (s = 0), UPolys over other non-prime fields,
+    over odd p s-byte slots reduced by Barrett's method: the quotient of a product by m is the
+    top of (high half) * (y^(2d-2) // m), built once per modulus. The three products sum at
+    most d terms below (p-1)^2 per slot, the last adding a residue below p to d-1 of them."""
+    d, p, k = len(m) - 1, field.char, packed(field)
+    if k:
+        divide, mul = k.divider(k.pack(m)), k.mul
+        return 0, k.pack, k.unpack, lambda u, v: divide(mul(u, v))[1]
+    if field.size != p:
+        mod = UPoly(field, m)
+        return 0, functools.partial(UPoly, field), lambda u: u.coeffs, lambda u, v: u * v % mod
     s = _width(p, d)
     mu = _pack(p, _slot_divmod(p, [0] * (2 * d - 2) + [1], m)[0], s)
     neg_m = _pack(p, [-c % p for c in m[:d]], s)  # the low d coefficients of -m
@@ -387,16 +356,13 @@ def _barrett(p, m):
 
 def powmod(base, n, mod):
     """base^n mod `mod` by square and multiply, left to right; n may be a big integer.
-    Over a prime field the powers stay packed, and each product is _barrett's."""
+    Each product is _barrett's, and the powers stay packed."""
     if mod.degree < 1:
         raise InputError("modulus must have degree >= 1")
     f = base.field
     if n == 0:
         return UPoly.one(f)
-    if f.size == f.char:
-        _, pack, unpack, mulmod = _barrett(f.char, mod.coeffs)
-    else:
-        pack, unpack, mulmod = functools.partial(UPoly, f), lambda u: u.coeffs, lambda u, v: u * v % mod
+    _, pack, unpack, mulmod = _barrett(f, mod.coeffs)
     result = x = pack((base % mod).coeffs)
     for bit in bin(n)[3:]:
         result = mulmod(result, result)
@@ -408,15 +374,10 @@ def powmod(base, n, mod):
 def random_upoly(field, degree, rng, monic=True):
     if degree < 0:
         return UPoly.zero(field)
-    coeffs = [field.random(rng) for _ in range(degree)]
-    if monic:
-        coeffs.append(field.one)
-    else:
+    coeffs, lead = [field.random(rng) for _ in range(degree)], field.one if monic else field.zero
+    while lead == field.zero:  # a nonzero leading coefficient, drawn until one is found
         lead = field.random(rng)
-        while lead == field.zero:
-            lead = field.random(rng)
-        coeffs.append(lead)
-    return UPoly(field, coeffs)
+    return UPoly(field, coeffs + [lead])
 
 
 def pth_root(u):
@@ -442,32 +403,22 @@ def squarefree_decomposition(u):
     """
     if u.is_zero:
         raise InputError("cannot decompose the zero polynomial")
-    field = u.field
-    p = field.char
-    out = {}
-
-    def accum(w, mult):
-        if w.degree > 0:
-            out[mult] = out.get(mult, UPoly.one(field)) * w
+    field, out = u.field, {}
 
     def helper(v, mult):
-        dv = v.derivative()
-        if dv.is_zero:
-            if v.degree == 0:
-                return
-            helper(pth_root(v), mult * p)
+        if (dv := v.derivative()).is_zero:
+            if v.degree > 0:
+                helper(pth_root(v), mult * field.char)
             return
         c = gcd(v, dv)
-        w = v // c
-        i = 1
+        w, i = v // c, 1
         while w.degree > 0:
             y_ = gcd(w, c)
-            accum(w // y_, mult * i)
-            w = y_
-            c = c // y_
-            i += 1
+            if (part := w // y_).degree > 0:
+                out[mult * i] = out[mult * i] * part if mult * i in out else part
+            w, c, i = y_, c // y_, i + 1
         if c.degree > 0:
-            helper(pth_root(c), mult * p)
+            helper(pth_root(c), mult * field.char)
 
     helper(u.monic(), 1)
     return [(poly, mult) for mult, poly in sorted(out.items())]
@@ -498,7 +449,7 @@ def _distinct_degree(w, batched=True):
             diffs.append(h - y)
         prod = diffs[0]
         if len(diffs) > 1:
-            _, pack, unpack, mulmod = _barrett(p, w.coeffs)
+            _, pack, unpack, mulmod = _barrett(field, w.coeffs)
             prod = UPoly(field, unpack(functools.reduce(mulmod, (pack(u.coeffs) for u in diffs))))
         g = gcd(prod, w)
         for j, diff in enumerate(diffs, d + 1):
@@ -531,14 +482,14 @@ def _equal_degree(g, d, rng):
     s = field.size
     for _ in range(_SPLIT_TRIES):
         a = random_upoly(field, rng.randrange(1, g.degree), rng, monic=False)
-        if field.char == 2:
-            m = s.bit_length() - 1  # s = 2^m
-            t = a % g
-            cur = t
+        if field.char == 2:  # the trace of a, summed on packed ints: addition is xor on gf2x's
+            m, plus = s.bit_length() - 1, xor if packed(field) else add  # s = 2^m
+            _, pack, unpack, mulmod = _barrett(field, g.coeffs)
+            t = cur = pack((a % g).coeffs)
             for _ in range(m * d - 1):
-                cur = powmod(cur, 2, g)
-                t = (t + cur) % g
-            c = gcd(t, g)
+                cur = mulmod(cur, cur)
+                t = plus(t, cur)
+            c = gcd(UPoly(field, unpack(t)), g)
         else:
             b = powmod(a, (s**d - 1) // 2, g)
             c = gcd(b - UPoly.one(field), g)
@@ -583,7 +534,7 @@ def order_of_y_mod(u, cap=DEFAULT_ORDER_CAP):
     """
     if u.is_zero:
         raise InputError("zero modulus")
-    if u.coeff(0) == u.field.zero:
+    if u.coeffs[0] == u.field.zero:
         raise InputError("y divides the modulus; order undefined")
     if u.degree == 0:
         return 1
@@ -609,11 +560,7 @@ def irreducible_polynomials(field, degree):
     # significant; counted lazily, since a large prime field has no room for
     # a list of its elements. For degree > 1, a_0 = 0 would be divisible by y.
     for index in range(0 if degree == 1 else size ** (degree - 1), size**degree):
-        digits = []
-        for _ in range(degree):
-            index, digit = divmod(index, size)
-            digits.append(field.from_index(digit))
-        u = UPoly(field, digits[::-1] + [field.one])
+        u = UPoly(field, [field.from_index(d) for d in _digits(index, size, degree)][::-1] + [field.one])
         if is_irreducible(u):
             yield u
 

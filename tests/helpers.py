@@ -1,7 +1,7 @@
 """Helpers that only the tests use: dense expansions, left division, random
 additive polynomials, explicit matrices realizing a species, the checked
 nullity sequence of one eigenfactor, a separate Ben-Or loop, a per-degree
-distinct-degree loop and a tuple reference field."""
+distinct-degree loop, a tuple reference field and schoolbook polynomials over it."""
 
 from addpoly import upoly
 from addpoly.additive import (
@@ -354,3 +354,92 @@ class TupleExtensionField:
 
     def __repr__(self):
         return f"GF({self.size})"
+
+
+def tuple_reference(tw):
+    """The TupleExtensionField of a tower's F_q on the same construction polynomials, so an
+    element's index is the int of ffield (F_p itself when q = p)."""
+    ref = tw.fp
+    for level in (tw.fr, tw.fq):
+        if level.size != ref.size:
+            ref = TupleExtensionField(ref, [ref.from_index(c) for c in level.modulus])
+    return ref
+
+
+class ReferencePolys:
+    """Schoolbook polynomials over a reference field (a TupleExtensionField, or a prime
+    field), taken and returned as trimmed lists of element indices: products, remainders,
+    monic gcds, modular powers and Ben-Or's irreducibility test. One field call per
+    coefficient pair; it shares no code with upoly."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def _elements(self, a):
+        out = [self.field.from_index(c) for c in a]
+        while out and out[-1] == self.field.zero:
+            out.pop()
+        return out
+
+    def _indices(self, a):
+        out = [self.field.to_index(c) for c in a]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def _product(self, a, b):
+        f = self.field
+        out = [f.zero] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = f.add(out[i + j], f.mul(x, y))
+        return out
+
+    def _remainder(self, a, b):
+        f, rem = self.field, list(a)
+        inv = f.inv(b[-1])
+        while len(rem) >= len(b):
+            c, shift = f.mul(rem[-1], inv), len(rem) - len(b)
+            for i, y in enumerate(b):
+                rem[shift + i] = f.sub(rem[shift + i], f.mul(c, y))
+            while rem and rem[-1] == f.zero:
+                rem.pop()
+        return rem
+
+    def product(self, a, b):
+        return self._indices(self._product(self._elements(a), self._elements(b)))
+
+    def remainder(self, a, b):
+        return self._indices(self._remainder(self._elements(a), self._elements(b)))
+
+    def monic_gcd(self, a, b):
+        f, a, b = self.field, self._elements(a), self._elements(b)
+        while b:
+            a, b = b, self._remainder(a, b)
+        inv = f.inv(a[-1]) if a else f.zero
+        return self._indices([f.mul(c, inv) for c in a])
+
+    def power_mod(self, a, n, m):
+        m = self._elements(m)
+        result, a = [self.field.one], self._remainder(self._elements(a), m)
+        while n:
+            if n & 1:
+                result = self._remainder(self._product(result, a), m)
+            a = self._remainder(self._product(a, a), m)
+            n >>= 1
+        return self._indices(result)
+
+    def difference(self, a, b):
+        f, a, b = self.field, self._elements(a), self._elements(b)
+        n = max(len(a), len(b))
+        a, b = a + [f.zero] * (n - len(a)), b + [f.zero] * (n - len(b))
+        return self._indices([f.sub(x, y) for x, y in zip(a, b)])
+
+    def is_irreducible(self, u):
+        """Ben-Or: u of degree d is irreducible iff gcd(u, y^(s^i) - y) = 1 for i = 1..d/2."""
+        h = y = self.remainder([0, 1], u)
+        for _ in range((len(u) - 1) // 2):
+            h = self.power_mod(h, self.field.size, u)
+            if len(self.monic_gcd(self.difference(h, y), u)) != 1:
+                return False
+        return True

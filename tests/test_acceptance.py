@@ -276,7 +276,7 @@ def test_criterion_8_property_suites():
     for trial in range(500):
         field = fac_fields[trial % len(fac_fields)]
         u = random_upoly(field, rng.randrange(1, 13), rng, monic=False)
-        prod = UPoly(field, [u.lc])
+        prod = UPoly(field, [u.coeffs[-1]])
         for poly, mult in factor(u):
             assert poly.is_monic and is_irreducible(poly)
             prod = prod * poly**mult

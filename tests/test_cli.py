@@ -358,6 +358,36 @@ def test_malformed_f_is_refused_before_a_slow_tower_is_built():
     assert json.loads(lines[0])["error"]["message"] == "coefficient a_0: expected a length-2000 coefficient list, got 1"
 
 
+@pytest.mark.parametrize(
+    "p,e,k,name,bits",
+    [(2, 100000, 1, "m_r", "2^100000"), (2, 1, 2000, "m_q", "2^2000"), (2, 8, 8, "m_q", "2^64")],
+    ids=["e100000", "k2000", "f256-k8"],
+)
+def test_well_formed_job_past_the_search_cap_is_refused_before_the_search(p, e, k, name, bits):
+    # each default construction search runs for tens of seconds or more; the cap refuses it first
+    width = k if k > 1 else e  # F_q's coordinates over the level below
+    one = [1] + [0] * (width - 1)
+    job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, one]}}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "addpoly.cli", "species"],
+        input=json.dumps(job),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 3, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert f"{name} search for F_{bits} exceeds cap" in error["message"]
+    assert error["message"].endswith(f"give {name}")
+
+
 def test_tower_over_a_large_prime_runs_in_bounded_memory():
     # The construction search over F_p with p near 10^9 must not list the field;
     # the address-space cap turns a regression into a MemoryError in the child.

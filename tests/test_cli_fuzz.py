@@ -1,0 +1,117 @@
+"""Generated JobSpecs, well-formed or not, fed to the in-process CLI: every one must end
+with exit code 0, 2 or 3 and exactly one JSON document on stdout, and never raise.
+
+The JobSpecs mix small towers with well-formed polynomials, which reach the tower
+search and the species computation, with wrong types, true where an integer
+belongs, huge degrees, reducible or misshapen construction polynomials, unknown
+fields and deep nesting. The draws are derandomized (tests/conftest.py).
+"""
+
+import contextlib
+import io
+import json
+import sys
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from addpoly.cli import main
+
+TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 1), (2, 4, 1)]
+# stands for 5000 nested lists, too deep to build as Python objects: spliced into the JSON text
+DEEP = "deeply nested"
+HUGE = st.sampled_from([10**5, 2000, 10**9, 2**64, 10**30])
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.integers(-3, 3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+def nested(depth, leaf=0):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+def element(p, e, k):
+    """The encoding of a random F_q element of tower (p, e, k), nested like ffield's."""
+    digit = st.integers(0, p - 1)
+    if e > 1:
+        digit = st.lists(digit, min_size=e, max_size=e)
+    return st.lists(digit, min_size=k, max_size=k) if k > 1 else digit
+
+
+def one(p, e, k):
+    digit = [1] + [0] * (e - 1) if e > 1 else 1
+    return [digit] + [[0] * e if e > 1 else 0] * (k - 1) if k > 1 else digit
+
+
+@st.composite
+def well_formed(draw):
+    p, e, k = draw(st.sampled_from(TOWERS))
+    coeffs = draw(st.lists(element(p, e, k), min_size=1, max_size=5))
+    if draw(st.integers(0, 3)):  # mostly monic with a_0 = 1, which species and count accept
+        coeffs = [one(p, e, k)] + coeffs[1:] + [one(p, e, k)]
+    job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": coeffs}}
+    if not draw(st.integers(0, 3)):  # an override, irreducible or not, of the right shape or not
+        job["m_r" if draw(st.booleans()) else "m_q"] = draw(
+            st.lists(st.one_of(st.integers(0, p - 1), JUNK), max_size=e + 2)
+        )
+    return job
+
+
+@st.composite
+def huge(draw):
+    """A well-formed JobSpec with no coefficients over a tower too big for the default search."""
+    e, k = draw(st.sampled_from([(HUGE, st.just(1)), (st.just(1), HUGE), (st.integers(2, 9), HUGE)]))
+    e, k = draw(e), draw(k)
+    job = {"p": draw(st.sampled_from([2, 3, 2**61 - 1])), "e": e, "k": k, "f": {"r_exp": e, "coeffs": []}}
+    if draw(st.booleans()):  # an override that is read, then found to have the wrong degree
+        job["m_r"] = [1, 1, 1]
+    return job
+
+
+@st.composite
+def malformed(draw):
+    job = draw(well_formed())
+    key = draw(st.sampled_from(["p", "e", "k", "f", "m_r", "m_q", "d", "sed"]))
+    job[key] = draw(
+        st.one_of(
+            JUNK,
+            HUGE,
+            st.just(True),
+            st.integers(1, 12).map(nested),
+            st.just(DEEP),
+            st.just({"r_exp": job["e"], "coeffs": [nested(50), 1]}),
+        )
+    )
+    return job
+
+
+def run(argv, text):
+    saved, out = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from([["species"], ["count"], ["count", "--d", "1"]]),
+    st.one_of(well_formed(), malformed(), malformed(), huge()),
+)
+def test_every_generated_jobspec_ends_with_one_json_document(argv, job):
+    code, out = run(argv, json.dumps(job).replace(json.dumps(DEEP), "[" * 5000 + "0" + "]" * 5000))
+    assert code in (0, 2, 3), out
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert (code == 0) == ("error" not in payload)

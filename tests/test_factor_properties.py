@@ -1,8 +1,11 @@
 """Property checks of factorization over odd prime fields, where the
-distinct-degree gcds are batched over blocks of degrees.
+distinct-degree gcds are batched over blocks of degrees, and over the F_(2^e)
+above F_2, where every product and division runs on grouped bit masks.
 
 The batched loop is compared with the per-degree loop of helpers; factors are
-certified by multiplying back and by a separate Ben-Or loop.
+certified by multiplying back and by a separate Ben-Or loop: over F_(2^e) one on
+the schoolbook arithmetic of helpers.ReferencePolys, since helpers'
+ben_or_is_irreducible calls upoly.powmod and upoly.gcd, the code under test.
 """
 
 import random
@@ -16,9 +19,19 @@ from addpoly.ffield import prime_field
 from addpoly.frobjordan import rational_jordan_form
 from addpoly.upoly import UPoly, factor, random_upoly, squarefree_decomposition
 from corpus import tower
-from helpers import ben_or_is_irreducible, per_degree_distinct_degree, random_additive
+from helpers import (
+    ReferencePolys,
+    ben_or_is_irreducible,
+    per_degree_distinct_degree,
+    random_additive,
+    tuple_reference,
+)
 
 ODD_PRIMES = (3, 5, 7, 13)
+# F_4, F_16 and F_(2^32) over F_2 as towers (p, e, k), with the largest degree factored (the
+# reference Ben-Or loop takes one tuple product per coefficient pair, 67 us on F_(2^32)), and
+# F_16 over F_4, whose char-2 equal-degree trace runs on UPolys rather than grouped bit masks
+CHAR2_FIELDS = {"F4": ((2, 1, 2), 24), "F16": ((2, 4, 1), 12), "F2^32": ((2, 32, 1), 4), "F16/F4": ((2, 2, 2), 8)}
 B = upoly._BLOCK
 # planted factor degrees: small ones, both sides of the first two block boundaries
 PLANTED_DEGREES = (1, 2, 3, B - 1, B, B + 1, B + 3, 2 * B, 2 * B + 1)
@@ -65,19 +78,26 @@ def test_batched_distinct_degree_yields_the_per_degree_pairs(p):
     check()
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES)
+@pytest.mark.parametrize("p", ODD_PRIMES + tuple(CHAR2_FIELDS))
 def test_factor_multiplies_back_into_irreducibles(p):
-    field = prime_field(p)
+    if p in ODD_PRIMES:
+        field, max_degree, examples, is_irreducible = prime_field(p), 60, 25, ben_or_is_irreducible
+    else:
+        key, max_degree = CHAR2_FIELDS[p]
+        field, examples, reference = tower(*key).fq, 8, ReferencePolys(tuple_reference(tower(*key)))
 
-    @derandomized
-    @given(st.integers(1, 60), st.integers(0, 3), st.integers(0, 2**32))
+        def is_irreducible(u):
+            return reference.is_irreducible(list(u.coeffs))
+
+    @settings(max_examples=examples)
+    @given(st.integers(1, max_degree), st.integers(0, 3), st.integers(0, 2**32))
     def check(degree, squared_degree, seed):
         rng = random.Random(seed)
         square = random_upoly(field, squared_degree, rng)
         u = random_upoly(field, degree, rng) * square * square
         product = UPoly.one(field)
         for irr, mult in factor(u):
-            assert irr.is_monic and ben_or_is_irreducible(irr)
+            assert irr.is_monic and is_irreducible(irr)
             product = product * irr**mult
         assert product == u
 

@@ -7,9 +7,10 @@ same construction polynomials, and an element's int is the reference's
 `to_index`, so every result is compared as an int. The levels lie on both
 sides of `ffield.TABLE_SIZE`: F_4, F_16 (over F_4), F_8, F_81 (over F_9) and
 F_729 use tables. Above the tables every level multiplies in flat F_p
-coordinates. Over a prime base these are its own digits, multiplied by
-upoly's one product modulo a fixed polynomial: F_(2^32) as bit masks,
-F_(3^13), F_(3^26), F_(5^7) and F_(7^7) in one-byte slots (7 * 6^2 = 252),
+coordinates. Over a prime base these are its own digits: F_(2^32) as bit
+masks whose products fold their high bits through gf2x's byte tables, and
+by upoly's Barrett product F_(3^13), F_(3^26), F_(5^7) and F_(7^7) in
+one-byte slots (7 * 6^2 = 252),
 F_(7^8) (8 * 6^2 = 288), F_(17^3) and F_(37^2) in wider slots. Over a
 non-prime base they are reached by F_p-linear
 maps: F_(2^16) over F_256 and the oracle's F_(4^15) and F_(4^7) by byte

@@ -53,7 +53,7 @@ def test_factor_reexpansion_and_determinism():
         fac = factor(u)
         again = factor(u)
         assert fac == again
-        prod = UPoly(field, [u.lc])
+        prod = UPoly(field, [u.coeffs[-1]])
         for poly, mult in fac:
             assert poly.is_monic and is_irreducible(poly)
             prod = prod * poly**mult
@@ -66,7 +66,7 @@ def test_factor_over_odd_extension_field():
     rng = random.Random(13)
     for trial in range(40):
         u = random_upoly(F9, rng.randrange(1, 8), rng, monic=False)
-        prod = UPoly(F9, [u.lc])
+        prod = UPoly(F9, [u.coeffs[-1]])
         for poly, mult in factor(u):
             assert poly.is_monic and is_irreducible(poly)
             prod = prod * poly**mult

@@ -1,12 +1,15 @@
-"""Property checks of the packed prime-field products, divisions, gcds and
-modular powers in upoly, and of the products and divisions over non-prime fields.
+"""Property checks of the packed products, divisions, gcds and modular powers in
+upoly over prime fields and over the F_(2^e) above F_2 (gf2x), and of the products
+and divisions over the other non-prime fields.
 
 Over F_p every expected value comes from plain-int schoolbook arithmetic mod p,
 which shares nothing with the bit-mask, Kronecker-slot and Barrett code under
-test. Over F_4, F_9, F_16 and F_(2^32) it comes from schoolbook arithmetic on
-helpers.TupleExtensionField, which shares nothing with upoly._product and
-upoly._divide.
+test. Over F_4, F_9, F_16 (over F_4 and over F_2) and F_(2^32) it comes from
+schoolbook arithmetic on helpers.TupleExtensionField, which shares nothing with
+gf2x's grouped bit masks, upoly._product and upoly._divide.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,16 +18,20 @@ from hypothesis import strategies as st
 from addpoly.ffield import prime_field
 from addpoly.upoly import UPoly, gcd, powmod
 from corpus import tower
-from helpers import TupleExtensionField
+from helpers import ReferencePolys, tuple_reference
 
 PRIMES = (2, 3, 5, 2**31 - 1)
-# F_q of these towers (p, e, k): F_4, F_9, F_16 over F_4, and F_(2^32) multiplied in flat coordinates
-EXTENSIONS = {"F4": (2, 1, 2), "F9": (3, 1, 2), "F16": (2, 2, 2), "F2^32": (2, 32, 1)}
+# F_q of these towers (p, e, k): F_4, F_9, F_16 over F_4 and over F_2, and F_(2^32); all
+# but F_9 and F_16 over F_4 are packed as grouped bit masks
+EXTENSIONS = {"F4": (2, 1, 2), "F9": (3, 1, 2), "F16": (2, 2, 2), "F2^4": (2, 4, 1), "F2^32": (2, 32, 1)}
 EXTENSION_DEGREE = 16
-# gcd and powmod also run on primes with two-byte slots (7, 13, 17)
+# gcd and powmod also run on primes with two-byte slots (7, 13, 17), and on the packed F_(2^e)
 EUCLID_PRIMES = (2, 3, 5, 7, 13, 17, 2**31 - 1)
+EUCLID_EXTENSIONS = ("F4", "F2^4", "F2^32")
 MAX_DEGREE = 300
 EUCLID_DEGREE = 40
+# over F_(2^e) the reference takes one tuple product per coefficient pair (67 us on F_(2^32))
+EXTENSION_EUCLID_DEGREE = 6
 
 derandomized = settings(max_examples=12)
 
@@ -71,10 +78,7 @@ def arithmetic(p):
     if p in PRIMES:
         return prime_field(p), MAX_DEGREE, lambda a, b: convolve(p, a, b), lambda a, b: add(p, a, b)
     tw = tower(*EXTENSIONS[p])
-    ref = tw.fp
-    for level in (tw.fr, tw.fq):  # the same construction polynomials, so an element is its index
-        if level.size != ref.size:
-            ref = TupleExtensionField(ref, [ref.from_index(c) for c in level.modulus])
+    ref = tuple_reference(tw)  # the same construction polynomials, so an element is its index
 
     def product(a, b):
         a, b = [ref.from_index(c) for c in a], [ref.from_index(c) for c in b]
@@ -169,47 +173,64 @@ def test_long_division_by_a_power_of_y_keeps_every_slot_below_its_bound():
         assert q.coeffs == (p - 1,) * m and r.coeffs == (p - 1,) * m
 
 
-@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def euclid_arithmetic(p):
+    """(field, size, largest degree drawn, product, monic gcd, power mod) for a prime p or a
+    name in EUCLID_EXTENSIONS, the references on coefficient lists of element indices."""
+    if p in EUCLID_PRIMES:
+        return prime_field(p), p, EUCLID_DEGREE, partial(convolve, p), partial(monic_gcd, p), partial(power_mod, p)
+    ref = ReferencePolys(tuple_reference(tower(*EXTENSIONS[p])))
+    return tower(*EXTENSIONS[p]).fq, ref.field.size, EXTENSION_EUCLID_DEGREE, ref.product, ref.monic_gcd, ref.power_mod
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES + EUCLID_EXTENSIONS)
 def test_gcd_matches_plain_euclid(p):
-    field = prime_field(p)
-    general = coefficient_lists(p, max_degree=EUCLID_DEGREE)
+    field, size, degree, product, reference_gcd, _ = euclid_arithmetic(p)
+    top = size - 1
+    general = coefficient_lists(size, max_degree=degree)
     # a common factor makes nontrivial gcds as likely as coprime pairs
-    common = st.tuples(general, general, divisor_lists(p, EUCLID_DEGREE // 2))
-    multiples = common.map(lambda t: (convolve(p, t[0], t[2]), convolve(p, t[1], t[2])))
+    common = st.tuples(general, general, divisor_lists(size, degree // 2))
+    multiples = common.map(lambda t: (product(t[0], t[2]), product(t[1], t[2])))
     pairs = st.one_of(st.tuples(general, general), multiples)
 
     @derandomized
     @given(pairs)
     @example(([], []))
-    @example(([], [2 % p, 1]))
-    @example(([p - 1], []))
-    @example(([1, 1], [1, 2 % p, 1, 1]))
-    @example(([p - 1] * (EUCLID_DEGREE + 1), [p - 1] * EUCLID_DEGREE))
+    @example(([], [2 % size, 1]))
+    @example(([top], []))
+    @example(([1, 1], [1, 2 % size, 1, 1]))
+    @example(([top] * (degree + 1), [top] * degree))
     def check(ab):
         a, b = ab
         got = gcd(UPoly(field, a), UPoly(field, b))
-        assert got.coeffs == monic_gcd(p, a, b)
+        assert list(got.coeffs) == list(reference_gcd(a, b))
         assert got == gcd(UPoly(field, b), UPoly(field, a))
 
     check()
 
 
-@pytest.mark.parametrize("p", EUCLID_PRIMES)
+@pytest.mark.parametrize("p", EUCLID_PRIMES + EUCLID_EXTENSIONS)
 def test_powmod_matches_plain_square_and_multiply(p):
-    field = prime_field(p)
+    field, size, degree, _, _, reference_power = euclid_arithmetic(p)
+    top = size - 1
+    # over F_(2^e): exponents up to 2^8 and moduli of degree up to 5 keep the reference quick
+    small = p in EUCLID_EXTENSIONS
 
     @derandomized
-    @given(coefficient_lists(p, max_degree=EUCLID_DEGREE), st.integers(0, 1 << 20), divisor_lists(p, 24))
+    @given(
+        coefficient_lists(size, max_degree=degree),
+        st.integers(0, 1 << (8 if small else 20)),
+        divisor_lists(size, 5 if small else 24),
+    )
     @example([], 5, [1, 1])
-    @example([1, 2 % p], 0, [1, 1])
-    @example([p - 1] * 3, 7, [p - 1, p - 1])
-    @example([p - 1] * 4, 11, [1, 0, p - 1])
-    @example([p - 1] * 30, 3, [p - 1] * 25)
+    @example([1, 2 % size], 0, [1, 1])
+    @example([top] * 3, 7, [top, top])
+    @example([top] * 4, 11, [1, 0, top])
+    @example([top] * (7 if small else 30), 3, [top] * (6 if small else 25))
     def check(a, n, m):
         if len(strip(m)) < 2:  # a modulus of degree 0 is refused
             return
         got = powmod(UPoly(field, a), n, UPoly(field, m))
-        assert got.coeffs == power_mod(p, a, n, strip(m))
+        assert list(got.coeffs) == list(reference_power(a, n, strip(m)))
 
     check()
 
