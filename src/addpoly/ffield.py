@@ -46,9 +46,11 @@ from .upoly import _digits
 # the oracle's F_(2^14) and F_(2^15) see under 2000 products per job.
 TABLE_SIZE = 1 << 12
 # Largest levels, in bits, whose construction polynomial is searched for by default: over
-# F_p 0.3 s at 2^1000, 28 s at 2^2000, 5.3 s at 31^200; over a non-prime F_r runs of reducible
-# candidates took 25 s at q = 2^64 over F_256, under 0.6 s at every q <= 2^40 measured.
-SEARCH_BITS, SEARCH_Q_BITS = 1000, 40
+# F_2 0.25 s at 2^1000, 24 s at 2^2000, 5.3 s at 31^200; over a non-prime F_r runs of reducible
+# candidates took 25 s at q = 2^64 over F_256, under 0.6 s at every q <= 2^40 measured. A given
+# m_r or m_q is checked by one Ben-Or test, at 2^2000 (from timed degree steps) 4.7 s over F_3,
+# 3.0 s over F_4, 0.8 s over F_2.
+SEARCH_BITS, SEARCH_Q_BITS, CHECK_BITS = 1000, 40, 2000
 
 
 def _undigits(digits, base):
@@ -484,7 +486,9 @@ class FieldTower:
         self.fp = prime_field(p)
         q_cap = SEARCH_BITS if e == 1 else SEARCH_Q_BITS  # m_q is searched for over F_p, or over F_r
         for name, given, n, dim, cap in (("m_r", m_r, e, e, SEARCH_BITS), ("m_q", m_q, k, e * k, q_cap)):
-            if given is None and n > 1 and dim * log2(p) > cap:
+            if n > 1 and given is not None and dim * log2(p) > CHECK_BITS:
+                raise BudgetExceeded(f"{name} irreducibility check for F_{p}^{dim} exceeds cap 2^{CHECK_BITS} elements")
+            if n > 1 and given is None and dim * log2(p) > cap:
                 raise BudgetExceeded(f"{name} search for F_{p}^{dim} exceeds cap 2^{cap} elements; give {name}")
         self.m_r = self._construction(self.fp, e, m_r, "m_r")
         self.fr = self.fp if e == 1 else ExtensionField(self.fp, self.m_r.coeffs)

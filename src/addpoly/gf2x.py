@@ -41,6 +41,16 @@ def mask_divmod(b, a):
     return quot, a
 
 
+def mask_gcd(a, b):
+    """Euclid on bit masks, shifted xors keeping only remainders."""
+    while b:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << a.bit_length() - db
+        a, b = b, a
+    return a
+
+
 def linear_map(cols):
     """x -> the xor of cols[i] over the set bits i of x, by one table per byte of x."""
     span = functools.partial(functools.reduce, lambda t, col: t + [v ^ col for v in t])
@@ -48,7 +58,7 @@ def linear_map(cols):
     return lambda x: functools.reduce(xor, map(getitem, tables, x.to_bytes(len(tables), "little")), 0)
 
 
-Packed = collections.namedtuple("Packed", "pack unpack mul divider divmod")
+Packed = collections.namedtuple("Packed", "pack unpack mul divider gcd")
 
 
 @functools.lru_cache(maxsize=64)
@@ -57,13 +67,13 @@ def packed(field):
     w = 2e - 1 bits per coefficient, each group of a carry-less product reduced mod m, up to e = 8
     one high bit at a time in all groups at once, above group by group through byte tables of
     t^e h -> h t^e mod m built once per field. divider(b): x -> (x // b, x % b), each quotient
-    term c xoring one shifted t^j b per set bit of c, the e multiples built once; divmod(b, x)."""
+    term c xoring one shifted t^j b per set bit of c, the e multiples built once; gcd(a, b) monic."""
     if getattr(field, "base", field).size != 2:
         return None
     m = to_mask(getattr(field, "modulus", (0, 1)))
     e, fold = m.bit_length() - 1, None
     if e == 1:
-        return Packed(to_mask, from_mask, clmul, functools.partial(functools.partial, mask_divmod), mask_divmod)
+        return Packed(to_mask, from_mask, clmul, functools.partial(functools.partial, mask_divmod), mask_gcd)
     w, low, unit = 2 * e - 1, (1 << e) - 1, (1 << 2 * e - 1) - 1
 
     def mul(a, b):
@@ -97,13 +107,15 @@ def packed(field):
 
         return divide
 
+    def gcd(a, b):  # made monic by dividing by the leading coefficient as a constant
+        while b:
+            a, b = b, divider(b)(a)[1]
+        return divider(a >> (a.bit_length() - 1) // w * w)(a)[0] if a else 0
+
     def pack(coeffs):
         x = 0
         for c in reversed(coeffs):
             x = x << w | c
         return x
 
-    return Packed(
-        pack, lambda x: tuple(x >> i & low for i in range(0, x.bit_length(), w)), mul, divider,
-        lambda b, x: divider(b)(x),
-    )
+    return Packed(pack, lambda x: tuple(x >> i & low for i in range(0, x.bit_length(), w)), mul, divider, gcd)

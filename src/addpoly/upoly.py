@@ -11,11 +11,14 @@ implementations. Factorization is complete over any such field: squarefree
 decomposition, distinct-degree splitting (stopped at its first factor: Ben-Or),
 random equal-degree splitting from a fixed state, on packed ints over F_p and
 over F_(2^e): (2e-1)-bit groups, reduced by high bits or byte tables (gf2x).
-Over an odd prime field, distinct-degree splitting takes one gcd per block of
-degrees, not one per degree: the interval trick of V. Shoup, "A new polynomial
-factorization algorithm and its implementation", J. Symbolic Comput. 20
-(1995), after J. von zur Gathen and V. Shoup, "Computing Frobenius maps and
-factoring polynomials", Comput. Complexity 2 (1992).
+Over F_2 and the F_(2^e) above it, distinct-degree splitting, Ben-Or's test and
+the construction search keep w, y^(s^d) mod w and each candidate packed from
+start to end and build a UPoly only for what they yield. Over an odd prime
+field, distinct-degree splitting takes one gcd per block of degrees, not one
+per degree: the interval trick of V. Shoup, "A new polynomial factorization
+algorithm and its implementation", J. Symbolic Comput. 20 (1995), after
+J. von zur Gathen and V. Shoup, "Computing Frobenius maps and factoring
+polynomials", Comput. Complexity 2 (1992).
 """
 
 import functools
@@ -196,9 +199,8 @@ class UPoly(DensePoly):
         if self.degree < other.degree:
             return UPoly.zero(f), self
         if k:
-            quot, rem = k.divmod(k.pack(other.coeffs), k.pack(self.coeffs))
-            return UPoly(f, k.unpack(quot)), UPoly(f, k.unpack(rem))
-        if f.size == f.char:
+            quot, rem = map(k.unpack, k.divider(k.pack(other.coeffs))(k.pack(self.coeffs)))
+        elif f.size == f.char:
             quot, rem = _slot_divmod(f.char, self.coeffs, other.coeffs)
         else:
             quot, rem = _divide(f, self.coeffs, [other.coeffs])
@@ -298,10 +300,7 @@ def gcd(a, b):
     it, in packed slots over odd p."""
     f, k = a.field, packed(a.field)
     if k:
-        x, y, divide = k.pack(a.coeffs), k.pack(b.coeffs), k.divmod
-        while y:
-            x, y = y, divide(y, x)[1]
-        return UPoly(f, k.unpack(x)).monic()
+        return UPoly(f, k.unpack(k.gcd(k.pack(a.coeffs), k.pack(b.coeffs))))
     if f.size == f.char:
         x, y = a.coeffs, b.coeffs
         while y:
@@ -432,13 +431,17 @@ _BLOCK = 8
 def _distinct_degree(w, batched=True):
     """Yield (product, factor degree) pairs of a monic squarefree polynomial, lowest degree first.
 
-    h_d = y^(s^d) mod w. Over an odd prime field, when `batched`, the h_d - y of
-    _BLOCK consecutive degrees are multiplied mod w and share one gcd with w, which
-    is split by degree only when nontrivial. Elsewhere each degree takes its own
-    gcd, so a caller that stops at the first pair pays for one degree at a time."""
+    h_d = y^(s^d) mod w; over F_2 and the F_(2^e) above it, _packed_distinct_degree. Over an
+    odd prime field, when `batched`, the h_d - y of _BLOCK consecutive degrees are multiplied
+    mod w and share one gcd with w, which is split by degree only when nontrivial. Elsewhere
+    each degree takes its own gcd, so a caller that stops at the first pair pays for one."""
     field = w.field
-    s, p = field.size, field.char
-    block = _BLOCK if batched and s == p > 2 else 1
+    if k := packed(field):
+        for part, d in _packed_distinct_degree(field, k.pack(w.coeffs)):
+            yield UPoly(field, k.unpack(part)), d
+        return
+    s = field.size
+    block = _BLOCK if batched and s == field.char else 1
     y = UPoly.y(field)
     h, d = y, 0
     while w.degree >= 2 * (d + 1):
@@ -465,6 +468,26 @@ def _distinct_degree(w, batched=True):
         d = top
     if w.degree > 0:
         yield w, w.degree
+
+
+def _packed_distinct_degree(field, w):
+    """_distinct_degree's pairs of w on gf2x.packed ints, one Euclid per degree: h = y^(2^(ed))
+    mod w takes e squarings per degree, reduced by one divider of w, rebuilt when w shrinks."""
+    k, e, d = packed(field), field.size.bit_length() - 1, 0
+    bits, divide = 2 * e - 1, k.divider(w)  # bits per coefficient
+    h = y = 1 << bits
+    while w.bit_length() > 2 * (d + 1) * bits:  # deg w >= 2(d + 1)
+        d += 1
+        for _ in range(e):
+            h = divide(k.mul(h, h))[1]
+        part = k.gcd(w, h ^ y)
+        if part.bit_length() > bits:
+            yield part, d
+            w = k.divider(part)(w)[0]
+            divide = k.divider(w)
+            h = divide(h)[1]
+    if w.bit_length() > bits:
+        yield w, (w.bit_length() - 1) // bits
 
 
 # Failed split attempts before _equal_degree gives up. A product of degree-d
@@ -555,13 +578,16 @@ def irreducible_polynomials(field, degree):
     """
     if degree < 1:
         raise InputError("degree must be >= 1")
-    size = field.size
-    # Candidate index: the base-size digits of a_0..a_(degree-1), a_0 the most
-    # significant; counted lazily, since a large prime field has no room for
-    # a list of its elements. For degree > 1, a_0 = 0 would be divisible by y.
+    size, k = field.size, packed(field)
+    # Candidate index: the base-size digits of a_0..a_(degree-1), a_0 the most significant;
+    # counted lazily, since a large prime field has no room for a list of its elements. For
+    # degree > 1, a_0 = 0 would be divisible by y. Over gf2x's fields digits are elements.
     for index in range(0 if degree == 1 else size ** (degree - 1), size**degree):
-        u = UPoly(field, [field.from_index(d) for d in _digits(index, size, degree)][::-1] + [field.one])
-        if is_irreducible(u):
+        digits = _digits(index, size, degree)[::-1] + [1]
+        if k:
+            if next(_packed_distinct_degree(field, k.pack(digits)))[1] == degree:
+                yield UPoly(field, digits)
+        elif is_irreducible(u := UPoly(field, [field.from_index(d) for d in digits[:-1]] + [field.one])):
             yield u
 
 

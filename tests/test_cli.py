@@ -368,6 +368,14 @@ def test_well_formed_job_past_the_search_cap_is_refused_before_the_search(p, e, 
     width = k if k > 1 else e  # F_q's coordinates over the level below
     one = [1] + [0] * (width - 1)
     job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, one]}}
+    error = refused_within_2_s(job)
+    assert f"{name} search for F_{bits} exceeds cap" in error["message"]
+    assert error["message"].endswith(f"give {name}")
+
+
+def refused_within_2_s(job):
+    """The error of a `species` child process on this JobSpec, which must exit 3 within 2 s
+    with one JSON document on stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
@@ -384,8 +392,23 @@ def test_well_formed_job_past_the_search_cap_is_refused_before_the_search(p, e, 
     assert len(lines) == 1
     error = json.loads(lines[0])["error"]
     assert error["type"] == "BudgetExceeded"
-    assert f"{name} search for F_{bits} exceeds cap" in error["message"]
-    assert error["message"].endswith(f"give {name}")
+    return error
+
+
+@pytest.mark.parametrize(
+    "p,e,k,name,bits",
+    [(2, 9689, 1, "m_r", "2^9689"), (3, 1, 1300, "m_q", "3^1300")],
+    ids=["f2-e9689", "f3-k1300"],
+)
+def test_supplied_trinomial_past_the_check_cap_is_refused_before_ben_or(p, e, k, name, bits):
+    # Ben-Or's test runs for about 40 s on y^9689 + y^84 + 1, irreducible over F_2, and for
+    # about 5 s on an irreducible degree-1300 polynomial over F_3: the check cap refuses both first
+    n = max(e, k)
+    one = [1] + [0] * (n - 1)
+    trinomial = [1] + [0] * 83 + [1] + [0] * (n - 85) + [1]
+    job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, one]}, name: trinomial}
+    error = refused_within_2_s(job)
+    assert error["message"] == f"{name} irreducibility check for F_{bits} exceeds cap 2^2000 elements"
 
 
 def test_tower_over_a_large_prime_runs_in_bounded_memory():

@@ -2,9 +2,11 @@
 distinct-degree gcds are batched over blocks of degrees, and over the F_(2^e)
 above F_2, where every product and division runs on grouped bit masks.
 
-The batched loop is compared with the per-degree loop of helpers; factors are
-certified by multiplying back and by a separate Ben-Or loop: over F_(2^e) one on
-the schoolbook arithmetic of helpers.ReferencePolys, since helpers'
+The batched loop, and the packed loop over F_2 and the F_(2^e) above it, are
+compared with the per-degree loop of helpers. The construction search is compared
+with the first candidate that a Ben-Or test on the schoolbook arithmetic of
+helpers.ReferencePolys accepts. Factors are certified by multiplying back and by a
+separate Ben-Or loop: over F_(2^e) one on ReferencePolys, since helpers'
 ben_or_is_irreducible calls upoly.powmod and upoly.gcd, the code under test.
 """
 
@@ -76,6 +78,49 @@ def test_batched_distinct_degree_yields_the_per_degree_pairs(p):
         assert list(upoly._distinct_degree(w)) == list(per_degree_distinct_degree(w))
 
     check()
+
+
+# the largest planted and cofactor degree over F_2 and the fields of CHAR2_FIELDS; F_16 over F_4
+# is not packed and runs the per-degree UPoly loop
+PACKED_PLANTS = {
+    "F2": ((2, 1, 1), 12), "F4": ((2, 1, 2), 8), "F16": ((2, 4, 1), 5), "F2^32": ((2, 32, 1), 3), "F16/F4": ((2, 2, 2), 4)
+}
+
+
+@pytest.mark.parametrize("name", PACKED_PLANTS)
+def test_packed_distinct_degree_yields_the_per_degree_pairs(name):
+    key, top = PACKED_PLANTS[name]
+    field = tower(*key).fq
+
+    @settings(max_examples=15)
+    @given(st.lists(st.integers(1, top), max_size=3), st.integers(0, top), st.integers(0, 2**32))
+    @example([], 0, 1)  # a cofactor of degree 0: nothing to split
+    @example([1, 3], 0, 2)  # only planted factors
+    @example([2, 2], 0, 3)  # two factors of one degree
+    @example([top, top], 1, 4)  # two of the largest degree, found at the loop's last degree
+    def check(degrees, cofactor_degree, seed):
+        w = planted(field, degrees, cofactor_degree, seed)
+        assert list(upoly._distinct_degree(w)) == list(per_degree_distinct_degree(w))
+
+    check()
+
+
+def lexicographic_first_irreducible(reference, degree):
+    """The first monic candidate of the given degree, a_0 the most significant digit of its
+    index, that the reference Ben-Or test accepts, as a list of element indices."""
+    size = reference.field.size
+    for index in range(0 if degree == 1 else size ** (degree - 1), size**degree):
+        digits = [index // size**i % size for i in range(degree)]
+        if reference.is_irreducible(digits[::-1] + [1]):
+            return digits[::-1] + [1]
+
+
+@pytest.mark.parametrize("key, max_degree", [((2, 1, 1), 40), ((2, 1, 2), 6), ((2, 4, 1), 6)], ids=["F2", "F4", "F16"])
+def test_construction_search_finds_the_reference_first_irreducible(key, max_degree):
+    field, reference = tower(*key).fq, ReferencePolys(tuple_reference(tower(*key)))
+    for degree in range(1, max_degree + 1):
+        found = upoly.irreducible_polynomial(field, degree)
+        assert [field.to_index(c) for c in found.coeffs] == lexicographic_first_irreducible(reference, degree)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES + tuple(CHAR2_FIELDS))

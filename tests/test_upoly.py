@@ -173,6 +173,8 @@ def test_irreducible_polynomial_lex():
     assert irreducible_polynomial(F2, 2) == upoly(F2, 1, 1, 1)
     # (1,0,1,1) precedes (1,1,0,1) low-to-high; y^3+y^2+1 has no roots in F_2
     assert irreducible_polynomial(F2, 3) == upoly(F2, 1, 0, 1, 1)
+    # m_r of the tower (2, 32, 1): y^32 + y^30 + y^29 + y^25 + 1, the search's 71st candidate
+    assert irreducible_polynomial(F2, 32).coeffs == (1,) + (0,) * 24 + (1, 0, 0, 0, 1, 1, 0, 1)
 
 
 def test_karatsuba_threshold_consistency():
