@@ -1,6 +1,7 @@
 """Polynomials over F_2 and each F_(2^e) = F_2[t]/(m) above it as packed ints, as NTL's GF2X and
 GF2EX: over F_2 a bit mask, bit i the coefficient of y^i; over F_(2^e) coefficient i's e bits at
-offset i(2e - 1), Kronecker substitution (von zur Gathen, Gerhard, Modern Computer Algebra, 8.4)."""
+offset i(2e - 1), Kronecker substitution (von zur Gathen, Gerhard, Modern Computer Algebra, 8.4).
+A level of 2^e elements over a larger base packs its coefficients' flat F_2 coordinates."""
 
 import collections
 import functools
@@ -63,13 +64,19 @@ Packed = collections.namedtuple("Packed", "pack unpack mul divider gcd")
 
 @functools.lru_cache(maxsize=64)
 def packed(field):
-    """The kernel of F_2 = F_2[t]/(t), or of a level F_2[t]/(m) of degree e over it (else None):
-    w = 2e - 1 bits per coefficient, each group of a carry-less product reduced mod m, up to e = 8
-    one high bit at a time in all groups at once, above group by group through byte tables of
+    """The kernel of F_2 = F_2[t]/(t), or of a level F_2[t]/(m) of degree e over it: w = 2e - 1
+    bits per coefficient, each group of a carry-less product reduced mod m, up to e = 8 one high
+    bit at a time in all groups at once, above group by group through byte tables of
     t^e h -> h t^e mod m built once per field. divider(b): x -> (x // b, x % b), each quotient
-    term c xoring one shifted t^j b per set bit of c, the e multiples built once; gcd(a, b) monic."""
+    term c xoring one shifted t^j b per set bit of c, the e multiples built once; gcd(a, b) monic.
+    A char-2 level with flat coordinates (ffield's _flat: to, back, the flat level) has the flat
+    level's kernel, packed through to and unpacked through back. Other fields have None."""
     if getattr(field, "base", field).size != 2:
-        return None
+        if field.char != 2 or field._small:
+            return None
+        to, back, flat = field._flat
+        k = packed(flat)
+        return k._replace(pack=lambda cs: k.pack(list(map(to, cs))), unpack=lambda x: tuple(map(back, k.unpack(x))))
     m = to_mask(getattr(field, "modulus", (0, 1)))
     e, fold = m.bit_length() - 1, None
     if e == 1:

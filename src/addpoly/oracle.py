@@ -145,31 +145,32 @@ def _is_invariant(field, mat, rows, pivots):
     return True
 
 
-def right_components_brute(space, d, enum_budget=DEFAULT_ENUM_BUDGET):
-    """All exponent-d right components of space.poly, rebuilt as literal root products.
-
-    For each invariant d-subspace W of the root space, expands
-    prod_(alpha in W) (x - alpha) over the extension, checks that only
-    r-power exponents survive and that every coefficient descends to F_q,
-    and certifies the result by an exact right division.
-    """
-    f, tower = space.poly, space.tower
-    fq, fr = tower.fq, tower.fr
-    field = space.field
-    n = f.exponent
-    if d < 0 or d > n:
-        return []
-    r = tower.r
+def check_root_budget(r, d, enum_budget=DEFAULT_ENUM_BUDGET):
+    """BudgetExceeded if the root product of a d-subspace, r^d linear factors, exceeds the budget."""
     if r**d > enum_budget:
         raise BudgetExceeded(f"expanding subspaces of {r**d} roots exceeds budget {enum_budget}")
+
+
+def right_components_brute(space, d, subspaces, enum_budget=DEFAULT_ENUM_BUDGET):
+    """The exponent-d right components of space.poly from the given invariant d-subspaces.
+
+    For each subspace W (a basis from invariant_subspaces), expands prod_(alpha in W) (x - alpha)
+    over the extension by a balanced product tree (von zur Gathen, Gerhard, Modern Computer
+    Algebra, 10.1), checks that only r-power exponents survive and that every coefficient
+    descends to F_q, and certifies the result by an exact right division.
+    """
+    f, tower, field, r = space.poly, space.tower, space.field, space.tower.r
+    check_root_budget(r, d, enum_budget)
+    fq, elements = tower.fq, list(tower.fr.elements())
     components = []
-    for sub in invariant_subspaces(fr, space.frobenius_matrix, d, enum_budget):
+    for sub in subspaces:
         # F_r elements are elements of the extension, so a combination is a plain sum
         gens = [_combination(field, row, space.basis) for row in sub]
-        poly = UPoly.one(field)
-        for coeffs in product(list(fr.elements()), repeat=d):
-            alpha = _combination(field, coeffs, gens)
-            poly = poly * UPoly(field, (field.neg(alpha), field.one))
+        roots = (_combination(field, cs, gens) for cs in product(elements, repeat=d))
+        layer = [UPoly(field, (field.neg(alpha), field.one)) for alpha in roots]
+        while len(layer) > 1:
+            layer = [a * b for a, b in zip(layer[::2], layer[1::2])] + layer[len(layer) // 2 * 2 :]
+        poly = layer[0]
         skew = [fq.zero] * (d + 1)
         for i, c in enumerate(poly.coeffs):
             if c == field.zero:

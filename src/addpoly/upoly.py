@@ -583,12 +583,15 @@ def irreducible_polynomials(field, degree):
     # counted lazily, since a large prime field has no room for a list of its elements. For
     # degree > 1, a_0 = 0 would be divisible by y. Over gf2x's fields digits are elements.
     for index in range(0 if degree == 1 else size ** (degree - 1), size**degree):
-        digits = _digits(index, size, degree)[::-1] + [1]
-        if k:
-            if next(_packed_distinct_degree(field, k.pack(digits)))[1] == degree:
-                yield UPoly(field, digits)
-        elif is_irreducible(u := UPoly(field, [field.from_index(d) for d in digits[:-1]] + [field.one])):
-            yield u
+        if size == 2:  # the index's bits read backwards below a top bit: the candidate's bit mask
+            w = int("1" + f"{index:0{degree}b}"[::-1], 2)
+        else:
+            digits = _digits(index, size, degree)[::-1] + [1]
+            w = k.pack(digits) if k else UPoly(field, [field.from_index(d) for d in digits[:-1]] + [field.one])
+        if k and next(_packed_distinct_degree(field, w))[1] == degree:
+            yield UPoly(field, k.unpack(w))
+        elif not k and is_irreducible(w):
+            yield w
 
 
 def irreducible_polynomial(field, degree):

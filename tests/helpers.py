@@ -1,9 +1,12 @@
 """Helpers that only the tests use: dense expansions, left division, random
 additive polynomials, explicit matrices realizing a species, the checked
 nullity sequence of one eigenfactor, a separate Ben-Or loop, a per-degree
-distinct-degree loop, a tuple reference field and schoolbook polynomials over it."""
+distinct-degree loop, a tuple reference field and schoolbook polynomials over it,
+and the oracle's root products over every invariant subspace of one dimension."""
 
-from addpoly import upoly
+import functools
+
+from addpoly import oracle, upoly
 from addpoly.additive import (
     DENSE_EXPANSION_CAP,
     AdditivePoly,
@@ -181,6 +184,12 @@ def ben_or_is_irreducible(u):
     return True
 
 
+def brute_components(space, d):
+    """oracle.right_components_brute on every invariant d-subspace of the root space."""
+    subspaces = oracle.invariant_subspaces(space.tower.fr, space.frobenius_matrix, d)
+    return oracle.right_components_brute(space, d, subspaces)
+
+
 def per_degree_distinct_degree(w):
     """Distinct-degree splitting with one gcd per degree, the reference for
     upoly._distinct_degree: yields (product of the degree-d factors, d) of a
@@ -294,6 +303,7 @@ class TupleExtensionField:
                         prod[t - m + i] = base.add(prod[t - m + i], base.mul(c, ri))
         return tuple(prod[:m])
 
+    @functools.lru_cache(maxsize=256)  # a remainder loop inverts one divisor's leading coefficient again and again
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
@@ -356,11 +366,12 @@ class TupleExtensionField:
         return f"GF({self.size})"
 
 
-def tuple_reference(tw):
-    """The TupleExtensionField of a tower's F_q on the same construction polynomials, so an
-    element's index is the int of ffield (F_p itself when q = p)."""
+def tuple_reference(tw, top=None):
+    """The TupleExtensionField of a tower's F_q, or of a level `top` above it, on the same
+    construction polynomials, so an element's index is the int of ffield (F_p itself when
+    q = p)."""
     ref = tw.fp
-    for level in (tw.fr, tw.fq):
+    for level in (tw.fr, tw.fq) + ((top,) if top else ()):
         if level.size != ref.size:
             ref = TupleExtensionField(ref, [ref.from_index(c) for c in level.modulus])
     return ref

@@ -28,10 +28,10 @@ from addpoly.latcount import (
     mhat,
     ore_criterion_count,
 )
-from addpoly.oracle import minpoly_of_matrix, right_components_brute, root_space
+from addpoly.oracle import minpoly_of_matrix, root_space
 from addpoly.upoly import UPoly, factor, is_irreducible, order_of_y_mod, random_upoly
 from corpus import all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
-from helpers import random_additive
+from helpers import brute_components, random_additive
 
 
 def _report(num, text):
@@ -111,7 +111,7 @@ def test_criterion_3_bijection_audit():
     for tw, f in _reachable_corpus():
         for d in range(f.exponent + 1):
             fast = count_right_components(f, d)
-            brute = len(right_components_brute(root_space(f), d))
+            brute = len(brute_components(root_space(f), d))
             assert fast == brute, (tw, f, d, fast, brute)
         audited += 1
     elapsed = time.perf_counter() - t0

@@ -18,7 +18,7 @@ from addpoly.additive import (
 from addpoly.errors import InputError, NotCentral
 from addpoly.upoly import UPoly, random_upoly
 from corpus import additive, all_monic_squarefree, tower, x_rpow_plus_x
-from helpers import is_central, left_divmod, random_additive, substitute, to_dense
+from helpers import brute_components, is_central, left_divmod, random_additive, substitute, to_dense
 
 T2 = tower(2, 1, 1)
 T4 = tower(2, 1, 2)
@@ -272,7 +272,7 @@ def test_component_bijection_with_projective_factors():
     # over F_4 with r = 4, t = 3: right components of exponent d correspond
     # exactly to monic factors of the projective image having projective shape
     from addpoly.errors import Overflow
-    from addpoly.oracle import right_components_brute, root_space
+    from addpoly.oracle import root_space
     from addpoly.upoly import order_of_y_mod
 
     rng = random.Random(43)
@@ -288,7 +288,7 @@ def test_component_bijection_with_projective_factors():
     for f in polys:
         pf = projective_part(f, 3)
         for d in range(f.exponent + 1):
-            brute = right_components_brute(root_space(f), d)
+            brute = brute_components(root_space(f), d)
             images = set()
             for h in brute:
                 ph = projective_part(h, 3)

@@ -208,6 +208,35 @@ def test_verify_x4_plus_x(capsys, monkeypatch):
     assert all(check["pass"] for check in payload["checks"])
 
 
+def test_subspace_bijection_fails_when_two_subspaces_give_one_component(capsys, monkeypatch):
+    from addpoly import oracle
+
+    brute = oracle.right_components_brute
+
+    def repeated(space, d, subspaces):  # the first component in place of every other one
+        components = brute(space, d, subspaces)
+        return components[:1] * len(components)
+
+    monkeypatch.setattr(oracle, "right_components_brute", repeated)
+    code, out = run(capsys, ["verify"], stdin=jobspec_f4(X4_PLUS_X), monkeypatch=monkeypatch)
+    payload = json.loads(out)
+    assert code == 4 and payload["all_pass"] is False
+    failed = [check for check in payload["checks"] if not check["pass"]]
+    assert failed == [{"name": "subspace_bijection[d=1]", "pass": False, "expected": 1, "actual": 3}]
+
+
+def test_verify_refuses_a_root_product_before_enumerating_its_subspaces(capsys, monkeypatch):
+    # x^(r^2) + x over F_r, r = 2^22: the 2^22 roots of a line exceed the budget, and so do its
+    # 2^22 + 1 candidate lines; the roots' budget is named
+    zero, one = [0] * 22, [1] + [0] * 21
+    job = json.dumps({"p": 2, "e": 22, "k": 1, "f": {"r_exp": 22, "coeffs": [one, zero, one]}})
+    code, out = run(capsys, ["verify"], stdin=job, monkeypatch=monkeypatch)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "BudgetExceeded", "message": "expanding subspaces of 4194304 roots exceeds budget 2097152"
+    }
+
+
 def _jobspec_f2(coeffs):
     return json.dumps({"p": 2, "e": 1, "k": 1, "f": {"r_exp": 1, "coeffs": coeffs}})
 

@@ -80,17 +80,19 @@ def test_batched_distinct_degree_yields_the_per_degree_pairs(p):
     check()
 
 
-# the largest planted and cofactor degree over F_2 and the fields of CHAR2_FIELDS; F_16 over F_4
-# is not packed and runs the per-degree UPoly loop
+# the largest planted and cofactor degree over F_2, the fields of CHAR2_FIELDS and the oracle's
+# F_(4^7), the extension of degree 7 of (2, 1, 2), packed through its flat coordinates; F_16 over
+# F_4 is not packed and runs the per-degree UPoly loop
 PACKED_PLANTS = {
-    "F2": ((2, 1, 1), 12), "F4": ((2, 1, 2), 8), "F16": ((2, 4, 1), 5), "F2^32": ((2, 32, 1), 3), "F16/F4": ((2, 2, 2), 4)
+    "F2": ((2, 1, 1), 12), "F4": ((2, 1, 2), 8), "F16": ((2, 4, 1), 5), "F2^32": ((2, 32, 1), 3),
+    "F16/F4": ((2, 2, 2), 4), "F4^7": ((2, 1, 2, 7), 4),
 }
 
 
 @pytest.mark.parametrize("name", PACKED_PLANTS)
 def test_packed_distinct_degree_yields_the_per_degree_pairs(name):
     key, top = PACKED_PLANTS[name]
-    field = tower(*key).fq
+    field = tower(*key[:3]).extension(key[3]) if len(key) > 3 else tower(*key).fq
 
     @settings(max_examples=15)
     @given(st.lists(st.integers(1, top), max_size=3), st.integers(0, top), st.integers(0, 2**32))

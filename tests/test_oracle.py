@@ -4,7 +4,9 @@ import pytest
 
 from addpoly.additive import AdditivePoly, evaluate, upoly_to_central
 from addpoly.errors import BudgetExceeded, ExtensionTooLarge
+from addpoly.ffield import TABLE_SIZE
 from addpoly.frobjordan import Species
+from addpoly.gf2x import packed
 from addpoly.latcount import (
     count_chains,
     count_right_components,
@@ -21,7 +23,7 @@ from addpoly.oracle import (
 )
 from addpoly.upoly import UPoly, order_of_y_mod
 from corpus import additive, all_monic, all_monic_squarefree, tower, x_rpow_plus_x
-from helpers import block_matrix, realize_species
+from helpers import block_matrix, brute_components, realize_species
 
 T2 = tower(2, 1, 1)
 T4 = tower(2, 1, 2)
@@ -89,21 +91,32 @@ def test_invariant_subspaces_examples():
 
 def test_right_components_brute_examples():
     f = x_rpow_plus_x(T4, 2)
-    assert right_components_brute(root_space(f), 0) == [AdditivePoly.identity(T4)]
-    comps = right_components_brute(root_space(f), 1)
+    assert brute_components(root_space(f), 0) == [AdditivePoly.identity(T4)]
+    comps = brute_components(root_space(f), 1)
     assert len(comps) == 3
     for h in comps:
         assert h.is_monic and h.exponent == 1
     g = T4.fq.from_index(2)
     f = AdditivePoly(T4, (g, T4.fq.one))
-    assert right_components_brute(root_space(f), 1) == [f]
+    assert brute_components(root_space(f), 1) == [f]
+
+
+@pytest.mark.parametrize("key, coeffs, ext_degree", [((2, 2, 1), (2, 0, 2, 1), 15), ((2, 1, 2), (3, 0, 3, 1), 7)])
+def test_root_product_over_a_packed_flat_level_is_f(key, coeffs, ext_degree):
+    # the product over all roots of f is f; these roots lie in F_(4^15) and F_(4^7), char-2
+    # levels above the tables over F_4, whose products run on gf2x's flat coordinates
+    f = additive(tower(*key), *coeffs)
+    space = root_space(f)
+    assert space.ext_degree == ext_degree and space.field.size > TABLE_SIZE and space.field.base.size == 4
+    assert packed(space.field) is not None
+    assert right_components_brute(space, 3, invariant_subspaces(space.tower.fr, space.frobenius_matrix, 3)) == [f]
 
 
 def test_roots_of_components_are_subspaces():
     # psi and phi are mutually inverse: the root sets of the exponent-d
     # components are exactly the element sets of the invariant d-subspaces
     f = x_rpow_plus_x(T4, 4)
-    assert right_components_brute(root_space(f), 4) == [f]
+    assert brute_components(root_space(f), 4) == [f]
     space = root_space(f)
     for d in (1, 2, 3):
         subspace_sets = set()
@@ -122,7 +135,7 @@ def test_roots_of_components_are_subspaces():
                 elems.append(acc)
             subspace_sets.add(frozenset(elems))
         root_sets = set()
-        for h in right_components_brute(space, d):
+        for h in brute_components(space, d):
             roots = frozenset(
                 alpha
                 for alpha in _space_elements(space)
@@ -248,9 +261,9 @@ def test_bijection_audit_small_corpus():
                     continue
                 space = root_space(f)
                 for d in range(n + 1):
-                    brute = right_components_brute(space, d)
                     subs = invariant_subspaces(tw.fr, space.frobenius_matrix, d)
-                    assert len(brute) == len(subs)
+                    brute = right_components_brute(space, d, subs)
+                    assert len(set(brute)) == len(subs)
 
 
 def test_division_oracle_examples():
@@ -258,7 +271,7 @@ def test_division_oracle_examples():
     assert [len(right_components_by_division(fbar, d)) for d in range(-1, 4)] == [0, 1, 2, 1, 0]
     assert right_components_by_division(fbar, 2) == [fbar]
     f = x_rpow_plus_x(T4, 2)
-    assert right_components_by_division(f, 1) == right_components_brute(root_space(f), 1)
+    assert right_components_by_division(f, 1) == brute_components(root_space(f), 1)
     with pytest.raises(BudgetExceeded):
         right_components_by_division(x_rpow_plus_x(T4, 8), 4, enum_budget=255)
 

@@ -1,12 +1,14 @@
 """Property checks of the packed products, divisions, gcds and modular powers in
-upoly over prime fields and over the F_(2^e) above F_2 (gf2x), and of the products
-and divisions over the other non-prime fields.
+upoly over prime fields, over the F_(2^e) above F_2 and over the char-2 levels
+that multiply in flat coordinates (gf2x), and of the products and divisions over
+the other non-prime fields.
 
 Over F_p every expected value comes from plain-int schoolbook arithmetic mod p,
 which shares nothing with the bit-mask, Kronecker-slot and Barrett code under
-test. Over F_4, F_9, F_16 (over F_4 and over F_2) and F_(2^32) it comes from
-schoolbook arithmetic on helpers.TupleExtensionField, which shares nothing with
-gf2x's grouped bit masks, upoly._product and upoly._divide.
+test. Over F_4, F_9, F_16 (over F_4 and over F_2), F_(2^32), F_(4^7) and F_(4^15)
+it comes from schoolbook arithmetic on helpers.TupleExtensionField, which shares
+nothing with gf2x's grouped bit masks, ffield's flat coordinates, upoly._product
+and upoly._divide.
 """
 
 from functools import partial
@@ -21,13 +23,20 @@ from corpus import tower
 from helpers import ReferencePolys, tuple_reference
 
 PRIMES = (2, 3, 5, 2**31 - 1)
-# F_q of these towers (p, e, k): F_4, F_9, F_16 over F_4 and over F_2, and F_(2^32); all
-# but F_9 and F_16 over F_4 are packed as grouped bit masks
-EXTENSIONS = {"F4": (2, 1, 2), "F9": (3, 1, 2), "F16": (2, 2, 2), "F2^4": (2, 4, 1), "F2^32": (2, 32, 1)}
-EXTENSION_DEGREE = 16
+# F_q of these towers (p, e, k), or its extension of degree E (p, e, k, E): F_4, F_9, F_16
+# over F_4 and over F_2, F_(2^32), and the oracle's F_(4^7) and F_(4^15) of the verify jobs over
+# (2, 1, 2) and (2, 2, 1); all but F_9 and F_16 over F_4 are packed as grouped bit masks, the
+# last two through their flat coordinates
+EXTENSIONS = {
+    "F4": (2, 1, 2), "F9": (3, 1, 2), "F16": (2, 2, 2), "F2^4": (2, 4, 1), "F2^32": (2, 32, 1),
+    "F4^7": (2, 1, 2, 7), "F4^15": (2, 2, 1, 15),
+}
+# the reference's tuple product takes 0.2 ms on F_(4^7) and 0.4 ms on F_(4^15)
+FLAT_LEVELS = ("F4^7", "F4^15")
+EXTENSION_DEGREE, FLAT_DEGREE = 16, 4
 # gcd and powmod also run on primes with two-byte slots (7, 13, 17), and on the packed F_(2^e)
 EUCLID_PRIMES = (2, 3, 5, 7, 13, 17, 2**31 - 1)
-EUCLID_EXTENSIONS = ("F4", "F2^4", "F2^32")
+EUCLID_EXTENSIONS = ("F4", "F2^4", "F2^32") + FLAT_LEVELS
 MAX_DEGREE = 300
 EUCLID_DEGREE = 40
 # over F_(2^e) the reference takes one tuple product per coefficient pair (67 us on F_(2^32))
@@ -72,13 +81,20 @@ def add(p, a, b):
     return strip((x + y) % p for x, y in zip(a, b))
 
 
+def level(name):
+    """The field of EXTENSIONS[name] and its helpers.TupleExtensionField."""
+    key = EXTENSIONS[name]
+    tw = tower(*key[:3])
+    top = tw.extension(key[3]) if len(key) > 3 else None
+    return top or tw.fq, tuple_reference(tw, top)
+
+
 def arithmetic(p):
     """(field, largest degree drawn, product, sum) for a prime p or a name in EXTENSIONS:
     the reference product and sum take and return coefficient lists of element indices."""
     if p in PRIMES:
         return prime_field(p), MAX_DEGREE, lambda a, b: convolve(p, a, b), lambda a, b: add(p, a, b)
-    tw = tower(*EXTENSIONS[p])
-    ref = tuple_reference(tw)  # the same construction polynomials, so an element is its index
+    field, ref = level(p)  # the same construction polynomials, so an element is its index
 
     def product(a, b):
         a, b = [ref.from_index(c) for c in a], [ref.from_index(c) for c in b]
@@ -93,7 +109,7 @@ def arithmetic(p):
         a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
         return strip(ref.to_index(ref.add(ref.from_index(x), ref.from_index(y))) for x, y in zip(a, b))
 
-    return tw.fq, EXTENSION_DEGREE, product, plus
+    return field, FLAT_DEGREE if p in FLAT_LEVELS else EXTENSION_DEGREE, product, plus
 
 
 def remainder(p, a, b):
@@ -178,8 +194,10 @@ def euclid_arithmetic(p):
     name in EUCLID_EXTENSIONS, the references on coefficient lists of element indices."""
     if p in EUCLID_PRIMES:
         return prime_field(p), p, EUCLID_DEGREE, partial(convolve, p), partial(monic_gcd, p), partial(power_mod, p)
-    ref = ReferencePolys(tuple_reference(tower(*EXTENSIONS[p])))
-    return tower(*EXTENSIONS[p]).fq, ref.field.size, EXTENSION_EUCLID_DEGREE, ref.product, ref.monic_gcd, ref.power_mod
+    field, ref = level(p)
+    ref = ReferencePolys(ref)
+    degree = FLAT_DEGREE if p in FLAT_LEVELS else EXTENSION_EUCLID_DEGREE
+    return field, ref.field.size, degree, ref.product, ref.monic_gcd, ref.power_mod
 
 
 @pytest.mark.parametrize("p", EUCLID_PRIMES + EUCLID_EXTENSIONS)
