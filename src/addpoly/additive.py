@@ -18,7 +18,7 @@ from .errors import (
     NotInSubfield,
 )
 from .linalg import SpanTracker
-from .upoly import DensePoly, UPoly, _divide, _product
+from .upoly import DensePoly, UPoly, _byte_divider, _divide, _product
 
 DENSE_EXPANSION_CAP = 1 << 16
 
@@ -102,6 +102,9 @@ def _twists(h, count):
     """Twist s of h, each coefficient raised to r^s, for s below count and below the
     order of the r-power Frobenius on F_q, after which the twists repeat."""
     fq, r, order = h.tower.fq, h.tower.r, h.tower.sigma_r_order(h.tower.fq)
+    if fq.frobs:  # bytes, twist s one translate through x -> x^(r^s)
+        b = bytes(h.coeffs)
+        return [b] + [b.translate(fq.frobs[(r**s).bit_length() - 1]) for s in range(1, min(count, order))]
     return [list(h.coeffs)] + [[fq.pow(c, r**s) for c in h.coeffs] for s in range(1, min(count, order))]
 
 
@@ -176,16 +179,24 @@ def minimal_central_left_component(f):
     if n < 1:
         raise InputError("input must have exponent >= 1")
 
-    if fr.size == 2:  # F_q's bits are its F_2 coordinates: row bit k*i + j is bit j of rem_i
+    twists, width = _twists(f, k), n * k  # the r-power Frobenius has order k on F_q
+    if fq.scales:  # rem is one int of byte slots, and x^q times it a shift by k bytes
+        divide, e = _byte_divider(fq, twists), fr.size.bit_length() - 1
+        digits = [b"".join(bytes([v]) * 2 ** (e * j) for v in range(fr.size)) * (256 >> e * j + e) for j in range(k)]
+        def flatten(rem):  # F_r digit j of rem_i, digits[j] of its byte, to byte slot jn + i, one translate per j
+            return int.from_bytes(b"".join(rem.to_bytes(n, "little").translate(t) for t in digits), "little")
+
+        if e == 1:  # the row is rem itself: bit 8i + j is bit j of rem_i
+            width, flatten = 8 * n, int
+    elif fr.size == 2:  # F_q's bits are its F_2 coordinates: row bit k*i + j is bit j of rem_i
         def flatten(rem):
             return sum(c << k * i for i, c in enumerate(rem))
     else:
         def flatten(rem):
             return [x for c in rem for x in tower.r_coords(fq, c)]
 
-    tracker = SpanTracker(fr, n * k)
-    twists = _twists(f, k)  # the r-power Frobenius has order k on F_q
-    rem = [fq.one] + [fq.zero] * (n - 1)  # x^(q^0) mod f, since n >= 1
+    tracker = SpanTracker(fr, width)
+    rem = 1 if fq.scales else [fq.one] + [fq.zero] * (n - 1)  # x^(q^0) mod f, since n >= 1
     for _ in range(n * k + 1):
         dep = tracker.add(flatten(rem))
         if dep is not None:
@@ -194,7 +205,7 @@ def minimal_central_left_component(f):
                 raise InternalInconsistency("computed central component is not a left multiple")
             return fstar
         # multiply by x^q on the left; the q-power acts trivially on F_q
-        rem = _divide(fq, [fq.zero] * k + rem, twists)[1]
+        rem = divide(rem << 8 * k)[1] if fq.scales else _divide(fq, [fq.zero] * k + rem, twists)[1]
     raise InternalInconsistency("no central dependence found within the dimension bound")
 
 

@@ -122,6 +122,7 @@ class PrimeField:
         self.dim = 1
         self.zero = 0
         self.one = 1
+        self.scales = self.frobs = None  # ExtensionField's byte tables
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -211,11 +212,14 @@ class ExtensionField:
         elif p > 36:
             self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
             self.neg = partial(self._add_digits, 0, sign=-1)
+        if p != 2 or self.size > 256:
+            self.scales = self.frobs = None
 
     def __getattr__(self, name):
         # the first use of an operation builds the level's tables, or its byte slots and flat basis
         small = self.__dict__.get("_small")
-        if small is not None and (name in ("mul", "inv", "pow", "add", "sub", "neg") or name == "_flat" and not small):
+        lazy = ("mul", "inv", "pow", "add", "sub", "neg", "scales", "frobs")
+        if small is not None and (name in lazy or name == "_flat" and not small):
             self._use_tables() if small else self._use_flat()
             return getattr(self, name)
         raise AttributeError(name)
@@ -414,8 +418,12 @@ class ExtensionField:
             return [a ^ exp[lc + log[b]] if b else a for a, b in zip(u, v)] if c else list(u)
 
         self.mul, self.inv, self.pow = mul_, inv_, pow_
+        if p == 2 and q <= 256:  # scales[c]: x -> c x, frobs[j]: x -> x^(2^j), each a translate of the logs
+            logs, exps, pad = bytes(log.tolist() + [q1] * (256 - q)), bytes(exp[:q1].tolist()), bytes(256 - q1)
+            self.scales = scales = [bytes(256)] + [logs.translate(exps[i:] + exps[:i] + pad) for i in log[1:]]
+            self.frobs = [logs.translate((exps * 2**j)[:: 2**j] + pad) for j in range(dim)]
         if p == 2:
-            self.vec_submul = submul_
+            self.vec_submul = submul_ if q > 256 else lambda u, c, v: list(map(xor, u, bytes(v).translate(scales[c])))
             return
         # Zech logarithms: zech[d] = log(1 + g^d), which is q1 where 1 + g^d = 0
         half = q1 // 2  # g^half = -1

@@ -83,8 +83,8 @@ def packed(field):
         return Packed(to_mask, from_mask, clmul, functools.partial(functools.partial, mask_divmod), mask_gcd)
     w, low, unit = 2 * e - 1, (1 << e) - 1, (1 << 2 * e - 1) - 1
 
-    def mul(a, b):
-        x = clmul(a, b)
+    def mul(a, b, x=0):  # a * b + x, x a carry-less product not yet reduced
+        x ^= clmul(a, b)
         if fold:
             return sum((x >> i & low ^ fold(x >> i + e & low >> 1)) << i for i in range(0, x.bit_length(), w))
         g = ((1 << (x.bit_length() // w + 1) * w) - 1) // unit  # bit 0 of every group
@@ -116,7 +116,11 @@ def packed(field):
 
     def gcd(a, b):  # made monic by dividing by the leading coefficient as a constant
         while b:
-            a, b = b, divider(b)(a)[1]
+            top = (b.bit_length() - 1) // w
+            while fold and a.bit_length() > top * w:  # above e = 8, where an inverse is an extended Euclid,
+                g = (a.bit_length() - 1) // w  # a's top term c is cancelled by lead(b) a + c b instead
+                a = mul(a, b >> top * w, clmul(b, a >> g * w) << (g - top) * w)
+            a, b = b, a if fold else divider(b)(a)[1]
         return divider(a >> (a.bit_length() - 1) // w * w)(a)[0] if a else 0
 
     def pack(coeffs):

@@ -2,8 +2,8 @@
 
 Matrices are lists of row lists, vectors plain lists; the column convention
 is used for matrix action (mat_vec(A, v) = A.v). Row operations go through
-the field's vec_submul helper so prime-field eliminations stay
-in tight integer comprehensions.
+the field's vec_submul; SpanTracker's rows are ints, of bits over F_2 and of
+byte slots over char-2 levels of at most 256 elements.
 """
 
 from .errors import InputError
@@ -124,6 +124,7 @@ class SpanTracker:
     Over F_2 a row is one int, as in M4RI (M. Albrecht, G. Bard, W. Hart, ACM
     TOMS 37, 2010): bit j is column j, tracking column i is bit width + i, a
     pivot step is one xor, and add also takes a vector packed so, given width.
+    Char-2 rows of 4 to 256 elements are byte slots: one translate, one xor.
     """
 
     def __init__(self, field, width=None):
@@ -131,27 +132,32 @@ class SpanTracker:
         self.rows, self.pivots, self.count = [], [], 0
 
     def add(self, vec):
-        field, count = self.field, self.count
+        field, count, scales = self.field, self.count, self.field.scales
         self.count += 1
-        if field.size != 2:
+        if field.size != 2 and not scales:
             zero = field.zero
             for row in self.rows:
                 row.append(zero)  # the column of this insertion
             v = list(vec) + [zero] * count + [field.one]
             rem = echelon_insert(field, self.rows, self.pivots, v, width=len(vec))
             return None if rem is None else rem[len(vec) :]
+        bits = 8 if scales else 1  # per slot
         if not isinstance(vec, int):
-            self.width, vec = len(vec), sum(c << j for j, c in enumerate(vec))
-        width = self.width
-        v = vec | 1 << width + count
+            self.width, vec = len(vec), sum(c << bits * j for j, c in enumerate(vec))
+        width, top, size = self.width, (1 << bits) - 1, self.width + count + 1
+        def times(c, row):  # c * row, for c != 1 only over a level with scales
+            return row if c == 1 else int.from_bytes(row.to_bytes(size, "little").translate(scales[c]), "little")
+
+        v = vec | 1 << bits * (width + count)
         for row, p in zip(self.rows, self.pivots):
-            if v >> p & 1:
-                v ^= row
-        low = v & (1 << width) - 1
+            if c := v >> bits * p & top:
+                v ^= row if c == 1 else times(c, row)
+        low = v & (1 << bits * width) - 1
         if not low:
-            return [v >> width + j & 1 for j in range(count + 1)]
-        pivot = (low & -low).bit_length() - 1
-        self.rows = [row ^ v if row >> pivot & 1 else row for row in self.rows] + [v]
+            return [v >> bits * (width + j) & top for j in range(count + 1)]
+        pivot = ((low & -low).bit_length() - 1) // bits
+        v = times(field.inv(v >> bits * pivot & top), v)
+        self.rows = [row ^ times(c, v) if (c := row >> bits * pivot & top) else row for row in self.rows] + [v]
         self.pivots.append(pivot)
         return None
 

@@ -6,7 +6,7 @@ throughout to keep it apart from the skew variable x used elsewhere.
 
 The field is any object with the small arithmetic protocol used across this
 package (zero/one attributes, add/sub/neg/mul/inv/div/pow, size, char,
-from_index/to_index, elements, encode/decode); see ffield for the concrete
+from_index/to_index, elements, encode/decode, scales); see ffield for the concrete
 implementations. Factorization is complete over any such field: squarefree
 decomposition, distinct-degree splitting (stopped at its first factor: Ben-Or),
 random equal-degree splitting from a fixed state, on packed ints over F_p and
@@ -112,8 +112,11 @@ def _product(field, a, twists):
 def _divide(field, coeffs, twists):
     """(quotient, remainder) coefficient lists of long division by the nonzero b of these
     twists, as in _product: step s subtracts q_s y^s b_s. One twist [b] divides in F[y];
-    the r-power twists of h divide on the right in F_q[x; r]."""
+    the r-power twists of h divide on the right in F_q[x; r]. With scale tables, _byte_divider."""
     m, zero = len(twists[0]) - 1, field.zero
+    if field.scales:
+        quot, rem = _byte_divider(field, list(map(bytes, twists)))(int.from_bytes(bytes(coeffs), "little"))
+        return quot.to_bytes(max(len(coeffs) - m, 0), "little"), rem.to_bytes(m, "little")
     inverses = [field.inv(b[m]) for b in twists]  # b_s's leading coefficient, inverted once
     rem = list(coeffs)
     quot = [zero] * (len(rem) - m)
@@ -123,6 +126,24 @@ def _divide(field, coeffs, twists):
             quot[s] = c = field.mul(top, inverses[s % len(twists)])
             rem[s : s + m + 1] = field.vec_submul(rem[s : s + m + 1], c, twists[s % len(twists)])
     return quot, rem[:m]
+
+
+def _byte_divider(field, twists):
+    """x -> (x // b, x % b) on ints of byte slots, b by its twists' bytes as in _divide: step s xors
+    twist s times q_s, one translate through ffield's scale table of q_s, shifted s bytes."""
+    m, scales = len(twists[0]) - 1, field.scales
+    steps = [(scales[field.inv(b[m])], b) for b in twists]  # top -> q_s, and twist s
+
+    def divide(x):
+        quot = bytearray(max((x.bit_length() + 7) // 8 - m, 0))
+        for s in range(len(quot) - 1, -1, -1):
+            if top := x >> 8 * (s + m):  # the slots above s + m are cleared
+                inverse, b = steps[s % len(steps)]
+                quot[s] = c = inverse[top]
+                x ^= int.from_bytes(b.translate(scales[c]), "little") << 8 * s
+        return int.from_bytes(quot, "little"), x
+
+    return divide
 
 
 class UPoly(DensePoly):

@@ -1,4 +1,4 @@
-"""Property checks of the skew-ring kernel: packed F_2 span tracking, the ring
+"""Property checks of the skew-ring kernel: packed span tracking, the ring
 laws of compose, right division, gcrc, and the species read from them.
 
 The packed SpanTracker is compared with the list elimination of
@@ -11,6 +11,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from addpoly import additive
 from addpoly.additive import AdditivePoly, compose, gcrc, minimal_central_left_component, right_divmod
 from addpoly.frobjordan import rational_jordan_form
 from addpoly.latcount import generating_function
@@ -19,39 +20,47 @@ from corpus import tower
 from helpers import random_additive
 
 F2 = tower(2, 1, 1).fr
-SKEW_TOWERS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2))
-LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (3, 1, 2))
+TRACKER_FIELDS = (F2, tower(2, 2, 1).fr, tower(2, 4, 1).fr, tower(2, 8, 1).fr)
+# (2,4,2) has F_q = F_256, every byte a field element; (2,3,3) has F_q = F_512, on list rows
+SKEW_TOWERS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (3, 2, 2))
+LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2))
 MAX_EXPONENT = 9
 
 derandomized = settings(max_examples=40)
 
 
-def bit_rows():
-    """(width, vectors as ints below 2^width), a few more vectors than the width."""
-    return st.integers(1, 16).flatmap(
-        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=w + 3))
-    )
+def tracker_cases():
+    """(field, width, vectors), a few more vectors than the width: packed as bits over F_2, as
+    byte slots over F_4 and F_16, and as bytes filling whole slots over F_256."""
+
+    def case(field, width):
+        vector = st.lists(st.integers(0, field.size - 1), min_size=width, max_size=width)
+        return st.tuples(st.just(field), st.just(width), st.lists(vector, max_size=width + 3))
+
+    return st.tuples(st.sampled_from(TRACKER_FIELDS), st.integers(1, 16)).flatmap(lambda fw: case(*fw))
 
 
 @derandomized
-@given(bit_rows(), st.booleans())
-@example((3, [0, 5, 5, 2]), False)  # a zero vector first: dependent at once
-@example((4, [6, 6, 0, 9]), True)
-@example((1, [1, 1, 1]), False)
+@given(tracker_cases(), st.booleans())
+@example((F2, 3, [[0, 0, 0], [1, 0, 1], [1, 0, 1], [0, 1, 0]]), False)  # a zero vector first: dependent at once
+@example((F2, 4, [[0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1]]), True)
+@example((F2, 1, [[1], [1], [1]]), False)
+@example((TRACKER_FIELDS[1], 2, [[1, 2], [2, 3]]), True)  # over F_4, [2, 3] = 2 * [1, 2]
+@example((TRACKER_FIELDS[2], 3, [[0, 7, 9], [5, 0, 15], [5, 7, 6], [1, 1, 1]]), False)
 def test_packed_tracker_matches_list_elimination(case, as_ints):
-    width, vectors = case
-    packed = SpanTracker(F2, width)
+    field, width, vectors = case
+    bits = 1 if field.size == 2 else 8  # per slot
+    packed = SpanTracker(field, width)
     rows, pivots = [], []
-    for count, bits in enumerate(vectors):
-        vec = [bits >> j & 1 for j in range(width)]
+    for count, vec in enumerate(vectors):
         # the list tracker: each insertion carries the unit vector of its index
         for row in rows:
             row.append(0)
-        rem = echelon_insert(F2, rows, pivots, vec + [0] * count + [1], width=width)
+        rem = echelon_insert(field, rows, pivots, vec + [0] * count + [1], width=width)
         expected = None if rem is None else rem[width:]
-        assert packed.add(bits if as_ints else vec) == expected
+        assert packed.add(sum(c << bits * j for j, c in enumerate(vec)) if as_ints else vec) == expected
         assert packed.pivots == pivots
-        unpacked = [[row >> j & 1 for j in range(width + count + 1)] for row in packed.rows]
+        unpacked = [[row >> bits * j & (1 << bits) - 1 for j in range(width + count + 1)] for row in packed.rows]
         assert unpacked == rows
 
 
@@ -138,13 +147,16 @@ def test_gcrc_divides_both_inputs(case, common):
 
 
 def test_mclc_twists_its_divisor_once(monkeypatch):
-    """f's Frobenius twists are taken once per mclc and once by its final check."""
+    """f's Frobenius twists are taken once per mclc and once by its final check; over F_4 they
+    are translates through the byte table of x -> x^2, so no power is taken at all."""
     tw = tower(2, 1, 2)
     fq, n, k = tw.fq, 32, tw.k
     f = random_additive(tw, n, random.Random(13))
-    calls = []
-    pow_ = fq.pow
+    calls, twisted = [], []
+    pow_, twists_ = fq.pow, additive._twists
     monkeypatch.setattr(fq, "pow", lambda a, e: calls.append(e) or pow_(a, e))
+    monkeypatch.setattr(additive, "_twists", lambda h, count: twisted.append(h) or twists_(h, count))
     fstar = minimal_central_left_component(f)
     assert fstar.exponent // k > 2  # enough divisions that a rebuild per division would show
     assert len(calls) <= 2 * (k - 1) * (n + 1)
+    assert twisted == [f, f]
