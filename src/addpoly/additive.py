@@ -188,9 +188,6 @@ def minimal_central_left_component(f):
 
         if e == 1:  # the row is rem itself: bit 8i + j is bit j of rem_i
             width, flatten = 8 * n, int
-    elif fr.size == 2:  # F_q's bits are its F_2 coordinates: row bit k*i + j is bit j of rem_i
-        def flatten(rem):
-            return sum(c << k * i for i, c in enumerate(rem))
     else:
         def flatten(rem):
             return [x for c in rem for x in tower.r_coords(fq, c)]

@@ -10,9 +10,9 @@ F_r is the set of F_q elements below r, and equality is plain ==. If e == 1
 the r-level *is* the prime field.
 
 Levels of at most TABLE_SIZE elements multiply by log/antilog tables, built
-on first use and kept on the field object, and add by Zech logarithms when
+with the level and kept on the field object, and add by Zech logarithms when
 p is odd (the table idiom of galois, https://github.com/mhostetter/galois).
-Larger levels multiply in flat F_p coordinates, also built on first use: the
+Larger levels multiply in flat F_p coordinates, also built with the level: the
 nested digits over a prime base, else the coordinates in the powers of one
 generator theta over F_p, reached by F_p-linear maps (compatible embeddings
 as in W. Bosma, J. Cannon, A. Steel, J. Symbolic Comput. 24, 1997). There a
@@ -61,10 +61,14 @@ def _undigits(digits, base):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to every base above, 399165290221 * 798330580441 (Jiang, Deng 2014)
+MR_BOUND = 318665857834031151167461
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact far beyond any size used here."""
+    """Deterministic Miller-Rabin on _MR_BASES, exact below MR_BOUND; an InputError at or above it."""
+    if n >= MR_BOUND:
+        raise InputError(f"p = {n} is at or above {MR_BOUND}, past which the primality test is not exact")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -187,8 +191,8 @@ class PrimeField:
 class ExtensionField:
     """Degree-m extension base[y]/(modulus) whose elements are ints in [0, size).
 
-    sum d_i y^i is the int sum d_i s^i, s = base.size. Up to TABLE_SIZE
-    elements it multiplies by tables built on first use, else in flat F_p
+    sum d_i y^i is the int sum d_i s^i, s = base.size. A new level builds its
+    arithmetic: tables up to TABLE_SIZE elements (_use_tables), else flat F_p
     coordinates (_use_flat). _flat holds the maps into and out of them and
     the prime-base level they multiply on: the level itself over F_p.
     """
@@ -212,17 +216,8 @@ class ExtensionField:
         elif p > 36:
             self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
             self.neg = partial(self._add_digits, 0, sign=-1)
-        if p != 2 or self.size > 256:
-            self.scales = self.frobs = None
-
-    def __getattr__(self, name):
-        # the first use of an operation builds the level's tables, or its byte slots and flat basis
-        small = self.__dict__.get("_small")
-        lazy = ("mul", "inv", "pow", "add", "sub", "neg", "scales", "frobs")
-        if small is not None and (name in lazy or name == "_flat" and not small):
-            self._use_tables() if small else self._use_flat()
-            return getattr(self, name)
-        raise AttributeError(name)
+        self.scales = self.frobs = None  # _use_tables' byte tables, for char-2 levels of at most 256 elements
+        self._use_tables() if self._small else self._use_flat()
 
     def _times(self, a, g):
         """a * g by Horner's rule in y, on base operations: how tables and flat bases are built."""
@@ -336,12 +331,6 @@ class ExtensionField:
         self.inv = lambda a: back(flat.inv(to(a)))
         self.pow = lambda a, e: back(flat.pow(to(a), e))
 
-        def submul_(u, c, v):  # c goes to flat coordinates once per call, not once per entry
-            c, sub = to(c), self.sub
-            return [sub(a, back(flat.mul(c, to(b)))) for a, b in zip(u, v)]
-
-        self.vec_submul = submul_
-
     def _linear_map(self, cols):
         """x -> the sum of x_i * cols[i] over the F_p digits x_i of x: over F_2 by one table
         per byte of x, of the xors of the columns of its set bits; over odd p as one sum
@@ -413,17 +402,13 @@ class ExtensionField:
                 raise ZeroDivisionError("inverse of zero")
             return 0 if n else 1
 
-        def submul_(u, c, v):  # over F_2
-            lc = log[c]
-            return [a ^ exp[lc + log[b]] if b else a for a, b in zip(u, v)] if c else list(u)
-
         self.mul, self.inv, self.pow = mul_, inv_, pow_
         if p == 2 and q <= 256:  # scales[c]: x -> c x, frobs[j]: x -> x^(2^j), each a translate of the logs
             logs, exps, pad = bytes(log.tolist() + [q1] * (256 - q)), bytes(exp[:q1].tolist()), bytes(256 - q1)
             self.scales = scales = [bytes(256)] + [logs.translate(exps[i:] + exps[:i] + pad) for i in log[1:]]
             self.frobs = [logs.translate((exps * 2**j)[:: 2**j] + pad) for j in range(dim)]
+            self.vec_submul = lambda u, c, v: list(map(xor, u, bytes(v).translate(scales[c])))
         if p == 2:
-            self.vec_submul = submul_ if q > 256 else lambda u, c, v: list(map(xor, u, bytes(v).translate(scales[c])))
             return
         # Zech logarithms: zech[d] = log(1 + g^d), which is q1 where 1 + g^d = 0
         half = q1 // 2  # g^half = -1

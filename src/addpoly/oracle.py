@@ -62,7 +62,8 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
     tower = f.tower
     fr = tower.fr
     n = f.exponent
-    tau_fstar = central_to_upoly(minimal_central_left_component(f)) if n else UPoly.one(fr)
+    # f is its own f* when central: at k = 1, where every x^(r^i) is, and at n = 0
+    tau_fstar = central_to_upoly(f if tower.k == 1 or not n else minimal_central_left_component(f))
     try:
         ext_degree = upoly.order_of_y_mod(tau_fstar, cap=max_ext)
     except Overflow as exc:

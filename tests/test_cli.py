@@ -402,13 +402,13 @@ def test_well_formed_job_past_the_search_cap_is_refused_before_the_search(p, e, 
     assert error["message"].endswith(f"give {name}")
 
 
-def refused_within_2_s(job):
-    """The error of a `species` child process on this JobSpec, which must exit 3 within 2 s
-    with one JSON document on stdout."""
+def refused_within_2_s(job, command="species", code=3, kind="BudgetExceeded"):
+    """The error of a child process of this command on this JobSpec, which must exit with
+    this code within 2 s with one JSON document on stdout, an error of this kind."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "addpoly.cli", "species"],
+        [sys.executable, "-m", "addpoly.cli", command],
         input=json.dumps(job),
         capture_output=True,
         text=True,
@@ -416,12 +416,21 @@ def refused_within_2_s(job):
         timeout=10,
     )
     assert time.perf_counter() - start < 2
-    assert done.returncode == 3, done.stderr
+    assert done.returncode == code, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])["error"]
-    assert error["type"] == "BudgetExceeded"
+    assert error["type"] == kind
     return error
+
+
+@pytest.mark.parametrize("command", ["count", "species"])
+def test_p_past_the_exact_primality_test_is_refused(command):
+    # 399165290221 * 798330580441 passes Miller-Rabin on all twelve bases; taken for a prime,
+    # count looped in Euclid over the non-field and species answered over it
+    job = {"p": 318665857834031151167461, "e": 1, "k": 1, "f": {"r_exp": 1, "coeffs": [5, 7, 1]}}
+    error = refused_within_2_s(job, command, code=2, kind="InputError")
+    assert "318665857834031151167461" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from addpoly.errors import InputError, NotInSubfield
-from addpoly.ffield import is_prime, tower_create
+from addpoly.ffield import MR_BOUND, is_prime, tower_create
 from corpus import tower
 
 
@@ -155,6 +155,10 @@ def test_tower_create_errors():
 def test_is_prime_on_primes_past_the_trial_divisors():
     assert is_prime(41) and is_prime(2**61 - 1)
     assert not is_prime(41 * 43) and not is_prime(151 * 751 * 28351)
+    # a strong pseudoprime to every base tried, so the test refuses it rather than call it prime
+    assert MR_BOUND == 399165290221 * 798330580441
+    with pytest.raises(InputError, match=str(MR_BOUND)):
+        is_prime(MR_BOUND)
 
 
 def test_construction_polynomial_overrides():

@@ -2,7 +2,9 @@ from itertools import product
 
 import pytest
 
-from addpoly.additive import AdditivePoly, evaluate, upoly_to_central
+from addpoly import additive as skew
+from addpoly import oracle
+from addpoly.additive import AdditivePoly, central_to_upoly, evaluate, upoly_to_central
 from addpoly.errors import BudgetExceeded, ExtensionTooLarge
 from addpoly.ffield import TABLE_SIZE
 from addpoly.frobjordan import Species
@@ -75,6 +77,18 @@ def test_root_space_extension_degrees_and_cap():
     assert order_of_y_mod(prim6, cap=100) == 63
     with pytest.raises(ExtensionTooLarge):
         root_space(upoly_to_central(T2, prim6), max_ext=32)
+
+
+@pytest.mark.parametrize("key, coeffs", [((2, 1, 1), (1, 1, 0, 1)), ((3, 1, 1), (2, 1, 1))])
+def test_root_space_at_k_1_reads_its_degree_off_f(monkeypatch, key, coeffs):
+    # at k = 1 every f is central, its own minimal central left component, so none is computed
+    calls = []
+    mclc = skew.minimal_central_left_component
+    monkeypatch.setattr(oracle, "minimal_central_left_component", lambda f: calls.append(f) or mclc(f))
+    f = additive(tower(*key), *coeffs)
+    space = root_space(f)
+    assert calls == []
+    assert space.ext_degree == order_of_y_mod(central_to_upoly(f)) > 1
 
 
 def test_invariant_subspaces_examples():

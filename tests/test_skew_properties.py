@@ -21,9 +21,11 @@ from helpers import random_additive
 
 F2 = tower(2, 1, 1).fr
 TRACKER_FIELDS = (F2, tower(2, 2, 1).fr, tower(2, 4, 1).fr, tower(2, 8, 1).fr)
-# (2,4,2) has F_q = F_256, every byte a field element; (2,3,3) has F_q = F_512, on list rows
-SKEW_TOWERS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (3, 2, 2))
-LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2))
+# (2,4,2) has F_q = F_256, every byte a field element; (2,3,3) has F_q = F_512, on list rows.
+# F_q is flat over a non-prime base in (2,2,7), F_(4^7) over F_4, and (3,2,4), F_(9^4) over
+# F_9; (2,1,9) has F_q = F_512 over F_2, whose mclc rows are its F_2 coordinates (r_coords).
+SKEW_TOWERS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (3, 2, 2), (2, 2, 7), (3, 2, 4), (2, 1, 9))
+LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (2, 2, 7), (3, 2, 4), (2, 1, 9))
 MAX_EXPONENT = 9
 
 derandomized = settings(max_examples=40)
@@ -96,6 +98,9 @@ def skew_triples(max_exponent=5):
 @given(skew_triples())
 @example(((2, 2, 2), [], [3, 1], [2]))
 @example(((3, 1, 2), [0, 4, 0, 8], [7, 1, 5], [1, 2, 3, 4, 5, 6]))
+@example(((2, 2, 7), [1, 9999, 0, 4], [3, 0, 16000], [2, 16383]))
+@example(((3, 2, 4), [5, 6000, 1], [42, 1, 6560], [3, 3]))
+@example(((2, 1, 9), [0, 511, 2], [300, 1], [7, 8, 9, 10]))
 def test_compose_obeys_the_ring_laws(case):
     shape, *coeffs = case
     a, b, c = (poly(shape, cs) for cs in coeffs)
@@ -108,6 +113,9 @@ def test_compose_obeys_the_ring_laws(case):
 
 @derandomized
 @given(st.sampled_from(LAW_TOWERS), st.integers(1, 24), st.integers(0, 2**32))
+@example((2, 2, 7), 12, 7)
+@example((3, 2, 4), 12, 7)
+@example((2, 1, 9), 24, 7)
 def test_species_has_dimension_n_and_a_palindromic_generating_function(shape, n, seed):
     tw = tower(*shape)
     species = rational_jordan_form(random_additive(tw, n, random.Random(seed))).species
@@ -121,6 +129,9 @@ def test_species_has_dimension_n_and_a_palindromic_generating_function(shape, n,
 @example(((2, 1, 2), [1, 2, 3], [1, 0, 0, 0, 1]))  # n < m
 @example(((3, 2, 2), [5, 0, 7, 1], [4]))  # h of exponent 0
 @example(((2, 2, 2), [], [3, 1]))
+@example(((2, 2, 7), [16383, 5, 0, 9000, 1, 77], [12345, 2, 1]))
+@example(((3, 2, 4), [6560, 1, 2, 3000, 0, 4], [100, 6000]))
+@example(((2, 1, 9), [511, 3, 0, 200, 1, 5, 6], [7, 300, 1]))
 def test_right_divmod_round_trip(case):
     shape, fs, hs = case
     f, h = poly(shape, fs), poly(shape, hs)
