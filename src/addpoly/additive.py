@@ -102,9 +102,9 @@ def _twists(h, count):
     """Twist s of h, each coefficient raised to r^s, for s below count and below the
     order of the r-power Frobenius on F_q, after which the twists repeat."""
     fq, r, order = h.tower.fq, h.tower.r, h.tower.sigma_r_order(h.tower.fq)
-    if fq.frobs:  # bytes, twist s one translate through x -> x^(r^s)
+    if fq.frobs:  # bytes, twist s one translate through x -> x^(r^s) = x^(p^(es))
         b = bytes(h.coeffs)
-        return [b] + [b.translate(fq.frobs[(r**s).bit_length() - 1]) for s in range(1, min(count, order))]
+        return [b] + [b.translate(fq.frobs[h.tower.e * s]) for s in range(1, min(count, order))]
     return [list(h.coeffs)] + [[fq.pow(c, r**s) for c in h.coeffs] for s in range(1, min(count, order))]
 
 
@@ -181,12 +181,12 @@ def minimal_central_left_component(f):
 
     twists, width = _twists(f, k), n * k  # the r-power Frobenius has order k on F_q
     if fq.scales:  # rem is one int of byte slots, and x^q times it a shift by k bytes
-        divide, e = _byte_divider(fq, twists), fr.size.bit_length() - 1
-        digits = [b"".join(bytes([v]) * 2 ** (e * j) for v in range(fr.size)) * (256 >> e * j + e) for j in range(k)]
+        divide, r = _byte_divider(fq, twists), fr.size
+        digits = [bytes(v // r**j % r for v in range(fq.size)).ljust(256, b"\0") for j in range(k)]
         def flatten(rem):  # F_r digit j of rem_i, digits[j] of its byte, to byte slot jn + i, one translate per j
             return int.from_bytes(b"".join(rem.to_bytes(n, "little").translate(t) for t in digits), "little")
 
-        if e == 1:  # the row is rem itself: bit 8i + j is bit j of rem_i
+        if r == 2:  # the row is rem itself: bit 8i + j is bit j of rem_i
             width, flatten = 8 * n, int
     else:
         def flatten(rem):

@@ -22,6 +22,14 @@ carry-less product of bit masks, its high bits folded by byte tables of M
 Only conversions of an int to and from its F_p digits live here. Over F_2
 addition is xor; above the tables odd p <= 36 adds digits in byte slots.
 
+Levels of 4 to 256 elements over char 2, and of at most 16 over odd p (F_3 to
+F_13, F_9), keep 256-byte translate tables for vectors held as ints of byte slots
+(_use_bytes): scales[c] (x -> c x), frobs[j] (x -> x^(p^j)) and over odd p
+diffs[a + 16 b] = a - b. u - c v is one translate and one xor over char 2; over
+odd p, where an element and a scaled one each fit in a nibble, one translate, a
+shift by 4, an or and one translate through diffs. This is bitslicing (T. Boothby,
+R. Bradshaw, arXiv:0901.1413) with byte slots for bits.
+
 The JSON encoding nests like the digits: a bare integer per prime-field
 coordinate and little-endian coefficient lists at extension levels, e.g. the
 element g+1 of F_4 over F_2 encodes as [1, 1]. Without an override, each
@@ -91,6 +99,29 @@ def is_prime(n):
     return True
 
 
+def _use_bytes(field, exps):
+    """Give a level of at most 256 elements over char 2, or 16 over odd p, its byte-slot tables
+    from the powers exps of a primitive element: scales, frobs and over odd p diffs, and then
+    slot_sub(x, y), the int of x's byte slots minus y's (char 2's is xor, set with its add)."""
+    p, q1, pad = field.char, len(exps), bytes(256 - len(exps))
+    logs = bytearray([q1]) * 256  # log 0 = q1 reads the zero that pads each rotation of exps
+    for i, x in enumerate(exps):
+        logs[x] = i
+    logs = bytes(logs)  # so that its translates, the tables, are immutable bytes
+    field.scales = [bytes(256)] + [logs.translate(exps[i:] + exps[:i] + pad) for i in logs[1 : q1 + 1]]
+    field.frobs = [logs.translate((exps * p**j)[:: p**j] + pad) for j in range(field.dim)]
+    if p == 2:  # slot_sub is the level's xor
+        return
+    rows = (bytes(field.sub(a, b) for a in range(q1 + 1)).ljust(16, b"\0") for b in range(q1 + 1))
+    field.diffs = diffs = b"".join(rows).ljust(256, b"\0")  # diffs[a + 16 b] = a - b
+
+    def slot_sub(x, y):  # x in the low nibble of each slot, y in the high one, then diffs
+        z = x | y << 4
+        return int.from_bytes(z.to_bytes((z.bit_length() + 7) // 8, "little").translate(diffs), "little")
+
+    field.slot_sub = slot_sub
+
+
 _PRIME_FIELDS = {}
 
 
@@ -126,7 +157,9 @@ class PrimeField:
         self.dim = 1
         self.zero = 0
         self.one = 1
-        self.scales = self.frobs = None  # ExtensionField's byte tables
+        self.scales = self.frobs = self.diffs = None  # byte-slot tables, for F_3 to F_13
+        if 2 < p < 16:  # the powers of p's least primitive root
+            _use_bytes(self, bytes(pow({3: 2, 5: 2, 7: 3, 11: 2, 13: 2}[p], i, p) for i in range(p - 1)))
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -211,12 +244,12 @@ class ExtensionField:
         # dim * (p-1)^2 < 256 lets _use_tables hold F_p digits in byte slots
         self._small = self.size <= TABLE_SIZE and self.dim * (p - 1) ** 2 < 256
         if p == 2:
-            self.add = self.sub = xor
+            self.add = self.sub = self.slot_sub = xor
             self.neg = pos
         elif p > 36:
             self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
             self.neg = partial(self._add_digits, 0, sign=-1)
-        self.scales = self.frobs = None  # _use_tables' byte tables, for char-2 levels of at most 256 elements
+        self.scales = self.frobs = self.diffs = None  # byte-slot tables, up to 256 elements over char 2, 16 over odd p
         self._use_tables() if self._small else self._use_flat()
 
     def _times(self, a, g):
@@ -322,8 +355,8 @@ class ExtensionField:
                 powers.append(self._times(powers[-1], theta))
             if len(dep) > n:
                 break
-        # the tracked row with pivot j writes F_p digit j in the powers of theta
-        rows = [row for _, row in sorted(zip(tracker.pivots, tracker.rows))]
+        # the tracked row with pivot j writes F_p digit j in the powers of theta (in byte slots up to F_13)
+        rows = [r.to_bytes(2 * n, "little") if fp.scales else r for _, r in sorted(zip(tracker.pivots, tracker.rows))]
         cols = [row >> n for row in rows] if p == 2 else [_undigits(row[n : 2 * n], p) for row in rows]
         to, back, flat = self._linear_map(cols), self._linear_map(powers[:n]), ExtensionField(fp, dep)
         self._flat = to, back, flat
@@ -403,30 +436,25 @@ class ExtensionField:
             return 0 if n else 1
 
         self.mul, self.inv, self.pow = mul_, inv_, pow_
-        if p == 2 and q <= 256:  # scales[c]: x -> c x, frobs[j]: x -> x^(2^j), each a translate of the logs
-            logs, exps, pad = bytes(log.tolist() + [q1] * (256 - q)), bytes(exp[:q1].tolist()), bytes(256 - q1)
-            self.scales = scales = [bytes(256)] + [logs.translate(exps[i:] + exps[:i] + pad) for i in log[1:]]
-            self.frobs = [logs.translate((exps * 2**j)[:: 2**j] + pad) for j in range(dim)]
-            self.vec_submul = lambda u, c, v: list(map(xor, u, bytes(v).translate(scales[c])))
-        if p == 2:
-            return
-        # Zech logarithms: zech[d] = log(1 + g^d), which is q1 where 1 + g^d = 0
-        half = q1 // 2  # g^half = -1
-        planes[0] = reduced(planes[0] + int.from_bytes(bytes([1]) * q, "little"))  # x + 1 for every x
-        zech = array("H", map(log.__getitem__, map(indices(planes).__getitem__, exp[:q1])))
+        if p > 2:  # Zech logarithms: zech[d] = log(1 + g^d), which is q1 where 1 + g^d = 0
+            half = q1 // 2  # g^half = -1
+            planes[0] = reduced(planes[0] + int.from_bytes(bytes([1]) * q, "little"))  # x + 1 for every x
+            zech = array("H", map(log.__getitem__, map(indices(planes).__getitem__, exp[:q1])))
 
-        def add_(a, b):
-            if not a or not b:
-                return a or b
-            la = log[a]
-            z = zech[(log[b] - la) % q1]
-            return 0 if z == q1 else exp[la + z]
+            def add_(a, b):
+                if not a or not b:
+                    return a or b
+                la = log[a]
+                z = zech[(log[b] - la) % q1]
+                return 0 if z == q1 else exp[la + z]
 
-        def neg_(a):
-            return exp[log[a] + half] if a else 0
+            def neg_(a):
+                return exp[log[a] + half] if a else 0
 
-        self.add, self.neg = add_, neg_
-        self.sub = lambda a, b: add_(a, neg_(b))
+            self.add, self.neg = add_, neg_
+            self.sub = lambda a, b: add_(a, neg_(b))
+        if q <= (256 if p == 2 else 16):
+            _use_bytes(self, bytes(exp[:q1].tolist()))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -456,6 +484,9 @@ class ExtensionField:
         return _undigits([self.base.decode(c) for c in encoding_shape(obj, self.degree)], self.base.size)
 
     def vec_submul(self, u, c, v):
+        if self.scales:  # u - c v on the ints of byte slots of u and of c v
+            cv = int.from_bytes(bytes(v).translate(self.scales[c]), "little")
+            return list(self.slot_sub(int.from_bytes(bytes(u), "little"), cv).to_bytes(len(u), "little"))
         sub, mul = self.sub, self.mul
         return [sub(a, mul(c, b)) for a, b in zip(u, v)]
 

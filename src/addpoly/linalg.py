@@ -3,7 +3,8 @@
 Matrices are lists of row lists, vectors plain lists; the column convention
 is used for matrix action (mat_vec(A, v) = A.v). Row operations go through
 the field's vec_submul; SpanTracker's rows are ints, of bits over F_2 and of
-byte slots over char-2 levels of at most 256 elements.
+byte slots over the levels with byte-slot tables: char 2 up to 256 elements,
+odd p up to 16 (F_3 to F_13 and F_9).
 """
 
 from .errors import InputError
@@ -124,7 +125,9 @@ class SpanTracker:
     Over F_2 a row is one int, as in M4RI (M. Albrecht, G. Bard, W. Hart, ACM
     TOMS 37, 2010): bit j is column j, tracking column i is bit width + i, a
     pivot step is one xor, and add also takes a vector packed so, given width.
-    Char-2 rows of 4 to 256 elements are byte slots: one translate, one xor.
+    Over a level with byte-slot tables (char 2 up to 256 elements, odd p up to
+    16) a row's slots are bytes, and a pivot step is one translate and the
+    level's slot_sub: one xor over char 2, an or and a translate over odd p.
     """
 
     def __init__(self, field, width=None):
@@ -141,7 +144,8 @@ class SpanTracker:
             v = list(vec) + [zero] * count + [field.one]
             rem = echelon_insert(field, self.rows, self.pivots, v, width=len(vec))
             return None if rem is None else rem[len(vec) :]
-        bits = 8 if scales else 1  # per slot
+        # bits per slot; over odd p the level's slot_sub, while char 2 keeps its xor inline: a call slows this loop 4-8%
+        bits, sub = (8 if scales else 1), field.diffs and field.slot_sub
         if not isinstance(vec, int):
             self.width, vec = len(vec), sum(c << bits * j for j, c in enumerate(vec))
         width, top, size = self.width, (1 << bits) - 1, self.width + count + 1
@@ -151,13 +155,16 @@ class SpanTracker:
         v = vec | 1 << bits * (width + count)
         for row, p in zip(self.rows, self.pivots):
             if c := v >> bits * p & top:
-                v ^= row if c == 1 else times(c, row)
+                v = sub(v, times(c, row)) if sub else v ^ (row if c == 1 else times(c, row))
         low = v & (1 << bits * width) - 1
         if not low:
             return [v >> bits * (width + j) & top for j in range(count + 1)]
         pivot = ((low & -low).bit_length() - 1) // bits
         v = times(field.inv(v >> bits * pivot & top), v)
-        self.rows = [row ^ times(c, v) if (c := row >> bits * pivot & top) else row for row in self.rows] + [v]
+        self.rows = [
+            (sub(row, times(c, v)) if sub else row ^ times(c, v)) if (c := row >> bits * pivot & top) else row
+            for row in self.rows
+        ] + [v]
         self.pivots.append(pivot)
         return None
 

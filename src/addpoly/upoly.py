@@ -112,7 +112,8 @@ def _product(field, a, twists):
 def _divide(field, coeffs, twists):
     """(quotient, remainder) coefficient lists of long division by the nonzero b of these
     twists, as in _product: step s subtracts q_s y^s b_s. One twist [b] divides in F[y];
-    the r-power twists of h divide on the right in F_q[x; r]. With scale tables, _byte_divider."""
+    the r-power twists of h divide on the right in F_q[x; r]. Over a level with byte-slot tables
+    (char 2 up to 256 elements, odd p up to 16), _byte_divider."""
     m, zero = len(twists[0]) - 1, field.zero
     if field.scales:
         quot, rem = _byte_divider(field, list(map(bytes, twists)))(int.from_bytes(bytes(coeffs), "little"))
@@ -129,9 +130,10 @@ def _divide(field, coeffs, twists):
 
 
 def _byte_divider(field, twists):
-    """x -> (x // b, x % b) on ints of byte slots, b by its twists' bytes as in _divide: step s xors
-    twist s times q_s, one translate through ffield's scale table of q_s, shifted s bytes."""
-    m, scales = len(twists[0]) - 1, field.scales
+    """x -> (x // b, x % b) on ints of byte slots, b by its twists' bytes as in _divide, over a level
+    of at most 256 elements over char 2 or 16 over odd p: step s subtracts twist s times q_s, one
+    translate through ffield's scale table of q_s, shifted s bytes, by the level's slot_sub."""
+    m, scales, sub = len(twists[0]) - 1, field.scales, field.slot_sub
     steps = [(scales[field.inv(b[m])], b) for b in twists]  # top -> q_s, and twist s
 
     def divide(x):
@@ -140,7 +142,7 @@ def _byte_divider(field, twists):
             if top := x >> 8 * (s + m):  # the slots above s + m are cleared
                 inverse, b = steps[s % len(steps)]
                 quot[s] = c = inverse[top]
-                x ^= int.from_bytes(b.translate(scales[c]), "little") << 8 * s
+                x = sub(x, int.from_bytes(b.translate(scales[c]), "little") << 8 * s)
         return int.from_bytes(quot, "little"), x
 
     return divide

@@ -420,6 +420,20 @@ class ReferencePolys:
     def product(self, a, b):
         return self._indices(self._product(self._elements(a), self._elements(b)))
 
+    def skew_divmod(self, a, b, r=1):
+        """(quotient, remainder) of a by a nonzero b: with r = 1 long division in F[y], with r a
+        power of the characteristic right division in F[x; r], where step s subtracts q_s x^(r^s) o b,
+        whose coefficients are q_s times b's raised to r^s."""
+        f, rem, b = self.field, [self.field.from_index(c) for c in a], self._elements(b)
+        m = len(b) - 1
+        quot = [f.zero] * max(len(rem) - m, 0)
+        for s in reversed(range(len(quot))):
+            twist = [f.pow(c, pow(r, s, f.size - 1) or 1) for c in b]  # x^(r^s), r^s mod size - 1
+            quot[s] = c = f.div(rem[s + m], twist[m])
+            for i, y in enumerate(twist):
+                rem[s + i] = f.sub(rem[s + i], f.mul(c, y))
+        return self._indices(quot), self._indices(rem[:m])
+
     def remainder(self, a, b):
         return self._indices(self._remainder(self._elements(a), self._elements(b)))
 

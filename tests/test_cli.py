@@ -47,6 +47,32 @@ def test_species_x4_plus_x(capsys, monkeypatch):
     assert json.loads(out)["species"] == [[1, [2]]]
 
 
+def test_species_over_f9_takes_no_list_arithmetic(capsys, monkeypatch):
+    # F_9 and F_3 have byte-slot tables: a species job on (3,1,2) divides on byte slots (mclc and
+    # gcrc) and tracks byte rows over F_r = F_3, so neither F_9's vec_submul nor a list row runs
+    import random
+
+    from addpoly import additive, linalg, upoly
+    from addpoly.ffield import ExtensionField, tower_create
+    from helpers import random_additive
+
+    calls = []
+
+    def counting(owner, name, label):  # record (label, field size) on each call of owner.name
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda field, *args: calls.append((label, field.size)) or real(field, *args))
+
+    counting(ExtensionField, "vec_submul", "vec_submul")
+    counting(linalg, "echelon_insert", "list row")
+    counting(additive, "_byte_divider", "bytes")
+    counting(upoly, "_byte_divider", "bytes")
+    job = {"p": 3, "e": 1, "k": 2, "f": random_additive(tower_create(3, 1, 2), 24, random.Random(22)).to_json()}
+    code, _ = run(capsys, ["species"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0
+    assert ("vec_submul", 9) not in calls and ("list row", 3) not in calls
+    assert calls.count(("bytes", 9)) > 1  # mclc's divider and gcrc's divisions
+
+
 def test_species_malformed_coeffs(capsys, monkeypatch):
     bad = json.dumps({"p": 2, "e": 1, "k": 2, "f": {"r_exp": 1, "coeffs": [[1, 0], [1]]}})
     code, out = run(capsys, ["species"], stdin=bad, monkeypatch=monkeypatch)

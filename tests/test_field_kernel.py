@@ -19,10 +19,13 @@ Odd p <= 36 adds in byte slots; F_(37^2) and F_(37^4) add digit by digit.
 Samples come from fixed seeds.
 
 The field laws above the tables are also checked on Hypothesis draws,
-derandomized so that every run draws the same elements.
+derandomized so that every run draws the same elements. The byte-slot tables
+of F_3 to F_13 and F_9 are checked exhaustively against the field's own mul,
+pow and sub.
 """
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -187,3 +190,31 @@ def test_zero_has_no_inverse_on_either_side_of_the_threshold():
         for op in (level.inv, lambda x: level.div(1, x), lambda x: level.pow(x, -1)):
             with pytest.raises(ZeroDivisionError):
                 op(0)
+
+
+# F_3, F_5, F_7, F_9 (over F_3), F_11 and F_13: every odd level with byte-slot tables
+ODD_BYTE_LEVELS = [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (11, 1, 1), (13, 1, 1)]
+
+
+@pytest.mark.parametrize("key", ODD_BYTE_LEVELS)
+def test_odd_byte_tables_match_the_field_on_every_pair(key):
+    level = tower(*key).fq
+    elements = range(level.size)
+    assert len(level.scales) == level.size and len(level.frobs) == level.dim
+    for c, x in product(elements, elements):
+        assert level.scales[c][x] == level.mul(c, x)
+    for j, x in product(range(level.dim), elements):
+        assert level.frobs[j][x] == level.pow(x, level.char**j)
+    for a, b in product(elements, elements):
+        assert level.diffs[a + 16 * b] == level.sub(a, b)
+    rng = random.Random(f"slots:{key}")
+    u, v = ([rng.randrange(level.size) for _ in range(40)] for _ in range(2))
+    ints = [int.from_bytes(bytes(w), "little") for w in (u, v)]
+    assert list(level.slot_sub(*ints).to_bytes(40, "little")) == [level.sub(a, b) for a, b in zip(u, v)]
+
+
+@pytest.mark.parametrize("key", [(17, 1, 1), (5, 1, 2), (3, 1, 3), (3, 2, 2)])
+def test_odd_levels_above_16_elements_keep_no_byte_tables(key):
+    level = tower(*key).fq  # F_17, F_25, F_27 and F_81 divide and eliminate on lists
+    assert level.size > 16
+    assert level.scales is level.frobs is level.diffs is None

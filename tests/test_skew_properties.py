@@ -2,11 +2,13 @@
 laws of compose, right division, gcrc, and the species read from them.
 
 The packed SpanTracker is compared with the list elimination of
-linalg.echelon_insert on the same vectors; divisions are certified by
-recomposition with compose.
+linalg.echelon_insert on the same vectors, row operations taken entry by
+entry with the field's sub and mul; divisions are certified by recomposition
+with compose.
 """
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,21 +21,36 @@ from addpoly.linalg import SpanTracker, echelon_insert
 from corpus import tower
 from helpers import random_additive
 
-F2 = tower(2, 1, 1).fr
-TRACKER_FIELDS = (F2, tower(2, 2, 1).fr, tower(2, 4, 1).fr, tower(2, 8, 1).fr)
+F2, F3, F9, F13 = tower(2, 1, 1).fr, tower(3, 1, 1).fr, tower(3, 2, 1).fr, tower(13, 1, 1).fr
+TRACKER_FIELDS = (F2, tower(2, 2, 1).fr, tower(2, 4, 1).fr, tower(2, 8, 1).fr, F3, F9, F13)
 # (2,4,2) has F_q = F_256, every byte a field element; (2,3,3) has F_q = F_512, on list rows.
 # F_q is flat over a non-prime base in (2,2,7), F_(4^7) over F_4, and (3,2,4), F_(9^4) over
 # F_9; (2,1,9) has F_q = F_512 over F_2, whose mclc rows are its F_2 coordinates (r_coords).
-SKEW_TOWERS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (3, 2, 2), (2, 2, 7), (3, 2, 4), (2, 1, 9))
-LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (2, 2, 7), (3, 2, 4), (2, 1, 9))
+# (13,1,2) and (5,1,2) divide on lists over F_169 and F_25 but track byte rows over F_13 and
+# F_5; (3,2,1) and (13,1,1) take byte slots throughout, over F_9 and F_13 (nibble values up to 12).
+SKEW_TOWERS = (
+    (2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (3, 2, 2), (2, 2, 7), (3, 2, 4), (2, 1, 9),
+    (13, 1, 2), (5, 1, 2),
+)
+LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (2, 2, 7), (3, 2, 4), (2, 1, 9), (3, 2, 1), (13, 1, 1))
 MAX_EXPONENT = 9
 
 derandomized = settings(max_examples=40)
 
 
+def list_arithmetic(field):
+    """The field as echelon_insert uses it, with a vec_submul of one sub and one mul per entry,
+    so the expected rows share no byte-slot code with SpanTracker."""
+
+    def vec_submul(u, c, v):
+        return [field.sub(a, field.mul(c, b)) for a, b in zip(u, v)]
+
+    return SimpleNamespace(zero=0, one=1, neg=field.neg, inv=field.inv, vec_submul=vec_submul)
+
+
 def tracker_cases():
     """(field, width, vectors), a few more vectors than the width: packed as bits over F_2, as
-    byte slots over F_4 and F_16, and as bytes filling whole slots over F_256."""
+    byte slots over F_4, F_16, F_3, F_9 and F_13, and as bytes filling whole slots over F_256."""
 
     def case(field, width):
         vector = st.lists(st.integers(0, field.size - 1), min_size=width, max_size=width)
@@ -49,16 +66,19 @@ def tracker_cases():
 @example((F2, 1, [[1], [1], [1]]), False)
 @example((TRACKER_FIELDS[1], 2, [[1, 2], [2, 3]]), True)  # over F_4, [2, 3] = 2 * [1, 2]
 @example((TRACKER_FIELDS[2], 3, [[0, 7, 9], [5, 0, 15], [5, 7, 6], [1, 1, 1]]), False)
+@example((F3, 2, [[1, 2], [2, 1], [0, 1]]), True)  # [2, 1] = 2 * [1, 2]
+@example((F9, 3, [[8, 1, 3], [0, 8, 8], [2, 5, 8]]), False)  # [2, 5, 8] = 5 * [8, 1, 3]
+@example((F13, 3, [[1, 2, 3], [12, 12, 12], [12, 11, 10], [7, 0, 5]]), True)  # 12 * [1, 2, 3] third
 def test_packed_tracker_matches_list_elimination(case, as_ints):
     field, width, vectors = case
     bits = 1 if field.size == 2 else 8  # per slot
-    packed = SpanTracker(field, width)
+    packed, arithmetic = SpanTracker(field, width), list_arithmetic(field)
     rows, pivots = [], []
     for count, vec in enumerate(vectors):
         # the list tracker: each insertion carries the unit vector of its index
         for row in rows:
             row.append(0)
-        rem = echelon_insert(field, rows, pivots, vec + [0] * count + [1], width=width)
+        rem = echelon_insert(arithmetic, rows, pivots, vec + [0] * count + [1], width=width)
         expected = None if rem is None else rem[width:]
         assert packed.add(sum(c << bits * j for j, c in enumerate(vec)) if as_ints else vec) == expected
         assert packed.pivots == pivots
@@ -101,6 +121,8 @@ def skew_triples(max_exponent=5):
 @example(((2, 2, 7), [1, 9999, 0, 4], [3, 0, 16000], [2, 16383]))
 @example(((3, 2, 4), [5, 6000, 1], [42, 1, 6560], [3, 3]))
 @example(((2, 1, 9), [0, 511, 2], [300, 1], [7, 8, 9, 10]))
+@example(((3, 2, 1), [8, 0, 7, 1], [5, 8], [8, 8, 8]))
+@example(((13, 1, 1), [12, 11, 0, 3], [12, 12], [1, 0, 12]))
 def test_compose_obeys_the_ring_laws(case):
     shape, *coeffs = case
     a, b, c = (poly(shape, cs) for cs in coeffs)
@@ -116,6 +138,8 @@ def test_compose_obeys_the_ring_laws(case):
 @example((2, 2, 7), 12, 7)
 @example((3, 2, 4), 12, 7)
 @example((2, 1, 9), 24, 7)
+@example((3, 2, 1), 16, 7)
+@example((13, 1, 1), 12, 7)
 def test_species_has_dimension_n_and_a_palindromic_generating_function(shape, n, seed):
     tw = tower(*shape)
     species = rational_jordan_form(random_additive(tw, n, random.Random(seed))).species
@@ -132,6 +156,8 @@ def test_species_has_dimension_n_and_a_palindromic_generating_function(shape, n,
 @example(((2, 2, 7), [16383, 5, 0, 9000, 1, 77], [12345, 2, 1]))
 @example(((3, 2, 4), [6560, 1, 2, 3000, 0, 4], [100, 6000]))
 @example(((2, 1, 9), [511, 3, 0, 200, 1, 5, 6], [7, 300, 1]))
+@example(((13, 1, 2), [168, 12, 0, 155, 1, 77, 168], [168, 13, 168]))
+@example(((5, 1, 2), [24, 5, 0, 24, 1, 20, 3], [24, 24, 1]))
 def test_right_divmod_round_trip(case):
     shape, fs, hs = case
     f, h = poly(shape, fs), poly(shape, hs)
@@ -143,6 +169,8 @@ def test_right_divmod_round_trip(case):
 @derandomized
 @given(skew_pairs(max_exponent=5), st.lists(st.integers(0, 80), min_size=1, max_size=4))
 @example(((2, 1, 2), [], [1]), [0, 1])
+@example(((13, 1, 2), [168, 12, 1], [5, 168]), [168, 12, 40])
+@example(((5, 1, 2), [24, 0, 1], [24, 24]), [24, 3, 24])
 def test_gcrc_divides_both_inputs(case, common):
     shape, fs, hs = case
     size = tower(*shape).fq.size

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addpoly.ffield import prime_field
-from addpoly.upoly import UPoly, gcd, powmod
+from addpoly.upoly import UPoly, _divide, gcd, powmod
 from corpus import tower
 from helpers import ReferencePolys, tuple_reference
 
@@ -39,6 +39,9 @@ EUCLID_PRIMES = (2, 3, 5, 7, 13, 17, 2**31 - 1)
 EUCLID_EXTENSIONS = ("F4", "F2^4", "F2^32") + FLAT_LEVELS
 MAX_DEGREE = 300
 EUCLID_DEGREE = 40
+# F_3, F_9 over F_3 and F_13: odd levels with byte-slot tables, F_13's elements near the nibble
+# bound; their towers' r-power twists are x -> x^3 on F_9 and the identity on a prime field
+BYTE_DIVISION = {"F3": (3, 1, 1), "F9": (3, 1, 2), "F13": (13, 1, 1)}
 # over F_(2^e) the reference takes one tuple product per coefficient pair (67 us on F_(2^32))
 EXTENSION_EUCLID_DEGREE = 6
 
@@ -260,3 +263,24 @@ def test_powmod_slot_width_at_its_boundary_over_f3(p, d):
     a, m = [p - 1] * d, [p - 1] * (d + 1)
     for n in (2, 3, 6):
         assert powmod(UPoly(field, a), n, UPoly(field, m)).coeffs == power_mod(p, a, n, m)
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["one-twist", "r-power-twists"])
+@pytest.mark.parametrize("name", BYTE_DIVISION)
+def test_byte_slot_division_matches_schoolbook(name, skew):
+    tw = tower(*BYTE_DIVISION[name])
+    field, ref = tw.fq, ReferencePolys(tuple_reference(tw))
+    assert field.scales and field.diffs  # _divide takes upoly._byte_divider
+    (r, order), top = (tw.r, tw.sigma_r_order(field)) if skew else (1, 1), field.size - 1
+
+    @derandomized
+    @given(coefficient_lists(field.size, max_degree=40), divisor_lists(field.size, 20))
+    @example([top] * 41, [top] * 21)
+    @example([top] * 41, [1, top])
+    @example([top] * 5, [top] * 9)  # shorter than the divisor: no quotient
+    def check(a, b):
+        twists = [[field.pow(c, r**s) for c in b] for s in range(order)]
+        quot, rem = _divide(field, a, twists)
+        assert (list(strip(quot)), list(strip(rem))) == ref.skew_divmod(a, b, r)
+
+    check()
