@@ -28,7 +28,6 @@ from .errors import (
     InternalInconsistency,
     NotCentral,
     NotInSubfield,
-    Overflow,
 )
 from .ffield import FieldTower, tower_create
 from .frobjordan import (
@@ -56,6 +55,6 @@ from .oracle import (
     root_space,
     species_from_matrix,
 )
-from .upoly import UPoly, factor, is_irreducible, order_of_y_mod
+from .upoly import UPoly, factor, is_irreducible
 
 __version__ = "0.1.0"

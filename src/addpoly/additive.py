@@ -127,7 +127,7 @@ def gcrc(f, g):
     f._check(g)
     if f.is_zero and g.is_zero:
         raise InputError("gcrc(0, 0) is undefined")
-    a, b = f, g
+    a, b = (f, g) if f.exponent >= g.exponent else (g, f)  # else the first division only swaps
     while not b.is_zero:
         a, b = b, right_divmod(a, b)[1]
     return a.monic()

@@ -25,10 +25,6 @@ class BudgetExceeded(AddpolyError):
     """A configured enumeration or size budget was exceeded."""
 
 
-class Overflow(BudgetExceeded):
-    """Multiplicative-order search passed its cap."""
-
-
 class ExtensionTooLarge(BudgetExceeded):
     """Root space lives in an extension beyond the configured cap."""
 

@@ -1,33 +1,32 @@
 """Brute-force ground truth at desk scale.
 
 Everything the fast paths avoid is done explicitly here: root spaces are
-materialized inside a concrete extension field, the Frobenius becomes an
-explicit matrix, invariant subspaces are enumerated one reduced echelon
-form at a time, and right components are rebuilt as literal root products
-or found by trial division. All of it is gated by explicit budgets;
-BudgetExceeded is an expected, typed outcome, never a correctness escape
-hatch.
+materialized inside a concrete extension field, whose degree comes from
+right division alone; the Frobenius becomes an explicit matrix, invariant
+subspaces are enumerated one reduced echelon form at a time, and right
+components are rebuilt as literal root products or found by trial
+division. All of it is gated by explicit budgets; BudgetExceeded is an
+expected, typed outcome, never a correctness escape hatch.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import linalg, upoly
-from .additive import AdditivePoly, central_to_upoly, evaluate, minimal_central_left_component, right_divmod
+from .additive import AdditivePoly, evaluate, right_divmod
 from .errors import (
     BudgetExceeded,
     DescentFailure,
     ExtensionTooLarge,
     InputError,
     InternalInconsistency,
-    Overflow,
 )
 from .frobjordan import Species, lambdas_from_nullities
 from .latcount import gaussian_binomial
 from .upoly import UPoly
 
 DEFAULT_MAX_EXT = 32
-MAX_EXT_LIMIT = 64  # order_of_y_mod and the extension field grow fast past this
+MAX_EXT_LIMIT = 64  # the extension field grows fast past this
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_POINT_BUDGET = 1 << 20
 
@@ -49,11 +48,13 @@ class RootSpace:
 
 
 def root_space(f, max_ext=DEFAULT_MAX_EXT):
-    """Materialize V_f inside F_(q^E), E the order of y modulo the central image.
+    """Materialize V_f inside F_(q^E), E the period of x^(q^i) mod f.
 
-    The kernel of f as an F_r-linear map on F_(q^E) is extracted by Gaussian
-    elimination and must have dimension equal to the exponent of f. A cap
-    max_ext outside 1..MAX_EXT_LIMIT is an input error.
+    V_f lies in F_(q^E) iff f right-divides x^(q^E) - x (O. Ore, Trans. AMS 35, 1933). So E counts
+    the steps that take x mod f back to itself, each a right division by f of x^q o rem, which is
+    rem moved up k places since the q-power fixes F_q. The kernel of f as an F_r-linear map on
+    F_(q^E) is extracted by Gaussian elimination and must have dimension equal to the exponent of
+    f. A cap max_ext outside 1..MAX_EXT_LIMIT is an input error.
     """
     if not 1 <= max_ext <= MAX_EXT_LIMIT:
         raise InputError(f"max_ext {max_ext} is outside 1..{MAX_EXT_LIMIT}")
@@ -62,14 +63,15 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
     tower = f.tower
     fr = tower.fr
     n = f.exponent
-    # f is its own f* when central: at k = 1, where every x^(r^i) is, and at n = 0
-    tau_fstar = central_to_upoly(f if tower.k == 1 or not n else minimal_central_left_component(f))
-    try:
-        ext_degree = upoly.order_of_y_mod(tau_fstar, cap=max_ext)
-    except Overflow as exc:
+    start = rem = right_divmod(AdditivePoly.identity(tower), f)[1]
+    for ext_degree in range(1, max_ext + 1):
+        rem = right_divmod(AdditivePoly(tower, (tower.fq.zero,) * tower.k + rem.coeffs), f)[1]
+        if rem == start:
+            break
+    else:
         raise ExtensionTooLarge(
             f"root space needs an extension of degree > {max_ext} over F_q"
-        ) from exc
+        )
     field = tower.extension(ext_degree)
     dim = ext_degree * tower.k  # [F_(q^E) : F_r]
     images = []
@@ -99,7 +101,7 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
     return RootSpace(tower, f, ext_degree, field, basis, frob)
 
 
-def invariant_subspaces(field, mat, d, enum_budget=DEFAULT_ENUM_BUDGET):
+def invariant_subspaces(field, mat, d):
     """All d-dimensional invariant subspaces, one canonical echelon basis each.
 
     Enumerates every reduced echelon form (pivot columns, then free entries
@@ -113,9 +115,9 @@ def invariant_subspaces(field, mat, d, enum_budget=DEFAULT_ENUM_BUDGET):
     if d == 0:
         return [()]
     total = gaussian_binomial(n, d, field.size)
-    if total > enum_budget:
+    if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(
-            f"enumerating {total} candidate {d}-subspaces exceeds budget {enum_budget}"
+            f"enumerating {total} candidate {d}-subspaces exceeds budget {DEFAULT_ENUM_BUDGET}"
         )
     elements = list(field.elements())
     out = []
@@ -146,13 +148,13 @@ def _is_invariant(field, mat, rows, pivots):
     return True
 
 
-def check_root_budget(r, d, enum_budget=DEFAULT_ENUM_BUDGET):
+def check_root_budget(r, d):
     """BudgetExceeded if the root product of a d-subspace, r^d linear factors, exceeds the budget."""
-    if r**d > enum_budget:
-        raise BudgetExceeded(f"expanding subspaces of {r**d} roots exceeds budget {enum_budget}")
+    if r**d > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"expanding subspaces of {r**d} roots exceeds budget {DEFAULT_ENUM_BUDGET}")
 
 
-def right_components_brute(space, d, subspaces, enum_budget=DEFAULT_ENUM_BUDGET):
+def right_components_brute(space, d, subspaces):
     """The exponent-d right components of space.poly from the given invariant d-subspaces.
 
     For each subspace W (a basis from invariant_subspaces), expands prod_(alpha in W) (x - alpha)
@@ -161,7 +163,7 @@ def right_components_brute(space, d, subspaces, enum_budget=DEFAULT_ENUM_BUDGET)
     descends to F_q, and certifies the result by an exact right division.
     """
     f, tower, field, r = space.poly, space.tower, space.field, space.tower.r
-    check_root_budget(r, d, enum_budget)
+    check_root_budget(r, d)
     fq, elements = tower.fq, list(tower.fr.elements())
     components = []
     for sub in subspaces:
@@ -197,7 +199,7 @@ def _combination(field, coeffs, elements):
     return acc
 
 
-def right_components_by_division(f, d, enum_budget=DEFAULT_ENUM_BUDGET):
+def right_components_by_division(f, d):
     """All monic right components of exponent d, found by trial division.
 
     Tries each of the q^d monic h of exponent d and keeps those that
@@ -207,9 +209,9 @@ def right_components_by_division(f, d, enum_budget=DEFAULT_ENUM_BUDGET):
     fq = f.tower.fq
     if d < 0 or d > f.exponent:
         return []
-    if fq.size**d > enum_budget:
+    if fq.size**d > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(
-            f"trial division by {fq.size**d} candidates exceeds budget {enum_budget}"
+            f"trial division by {fq.size**d} candidates exceeds budget {DEFAULT_ENUM_BUDGET}"
         )
     out = []
     for low in product(list(fq.elements()), repeat=d):
@@ -226,7 +228,7 @@ def _r_power_index(i, r, d):
     return None
 
 
-def maximal_chains_brute(field, mat, point_budget=DEFAULT_POINT_BUDGET):
+def maximal_chains_brute(field, mat):
     """Count saturated chains of invariant subspaces from 0 to the full space.
 
     Walks the lattice by quotienting out one minimal invariant subspace at a
@@ -246,9 +248,9 @@ def maximal_chains_brute(field, mat, point_budget=DEFAULT_POINT_BUDGET):
         k = key(m)
         if k in memo:
             return memo[k]
-        if field.size**n > point_budget:
+        if field.size**n > DEFAULT_POINT_BUDGET:
             raise BudgetExceeded(
-                f"chain walk over {field.size}^{n} vectors exceeds budget {point_budget}"
+                f"chain walk over {field.size}^{n} vectors exceeds budget {DEFAULT_POINT_BUDGET}"
             )
         total = 0
         depth = None

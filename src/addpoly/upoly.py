@@ -26,10 +26,9 @@ import random
 from itertools import repeat
 from operator import add, xor
 
-from .errors import BudgetExceeded, InputError, InternalInconsistency, Overflow
+from .errors import BudgetExceeded, InputError, InternalInconsistency
 from .gf2x import packed
 
-DEFAULT_ORDER_CAP = 1 << 16
 DEFAULT_ROOT_SCAN_CAP = 1 << 16
 
 
@@ -573,26 +572,6 @@ def is_irreducible(u):
     return next(_distinct_degree(u, batched=False))[1] == u.degree
 
 
-def order_of_y_mod(u, cap=DEFAULT_ORDER_CAP):
-    """Least E >= 1 with y^E = 1 mod u, found by capped iteration.
-
-    Raises Overflow past the cap rather than factoring group orders.
-    """
-    if u.is_zero:
-        raise InputError("zero modulus")
-    if u.coeffs[0] == u.field.zero:
-        raise InputError("y divides the modulus; order undefined")
-    if u.degree == 0:
-        return 1
-    one = UPoly.one(u.field)
-    cur = UPoly.y(u.field) % u
-    for e in range(1, cap + 1):
-        if cur == one:
-            return e
-        cur = cur.shift(1) % u
-    raise Overflow(f"order of y mod {u.encode()} exceeds cap {cap}")
-
-
 def irreducible_polynomials(field, degree):
     """Yield monic irreducibles of the given degree in lexicographic order.
 
@@ -622,11 +601,11 @@ def irreducible_polynomial(field, degree):
     return next(irreducible_polynomials(field, degree))
 
 
-def roots(u, scan_cap=DEFAULT_ROOT_SCAN_CAP):
+def roots(u):
     """All roots in the coefficient field, by exhaustive scan."""
     field = u.field
-    if field.size > scan_cap:
-        raise BudgetExceeded(f"root scan over a field of size {field.size} exceeds cap {scan_cap}")
+    if field.size > DEFAULT_ROOT_SCAN_CAP:
+        raise BudgetExceeded(f"root scan over a field of size {field.size} exceeds cap {DEFAULT_ROOT_SCAN_CAP}")
     if u.is_zero:
         raise InputError("every element is a root of the zero polynomial")
     return [a for a in field.elements() if u.evaluate(a) == field.zero]

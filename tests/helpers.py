@@ -2,7 +2,8 @@
 additive polynomials, explicit matrices realizing a species, the checked
 nullity sequence of one eigenfactor, a separate Ben-Or loop, a per-degree
 distinct-degree loop, a tuple reference field and schoolbook polynomials over it,
-and the oracle's root products over every invariant subspace of one dimension."""
+the oracle's root products over every invariant subspace of one dimension, and the
+capped order of y modulo a polynomial."""
 
 import functools
 
@@ -188,6 +189,27 @@ def brute_components(space, d):
     """oracle.right_components_brute on every invariant d-subspace of the root space."""
     subspaces = oracle.invariant_subspaces(space.tower.fr, space.frobenius_matrix, d)
     return oracle.right_components_brute(space, d, subspaces)
+
+
+def order_of_y_mod(u, cap=1 << 16):
+    """Least E >= 1 with y^E = 1 mod u, found by capped iteration: the reference for the
+    extension degree of oracle.root_space, which is this order for u = tau(f*).
+
+    Raises BudgetExceeded past the cap rather than factoring group orders.
+    """
+    if u.is_zero:
+        raise InputError("zero modulus")
+    if u.coeffs[0] == u.field.zero:
+        raise InputError("y divides the modulus; order undefined")
+    if u.degree == 0:
+        return 1
+    one = UPoly.one(u.field)
+    cur = UPoly.y(u.field) % u
+    for e in range(1, cap + 1):
+        if cur == one:
+            return e
+        cur = cur.shift(1) % u
+    raise BudgetExceeded(f"order of y mod {u.encode()} exceeds cap {cap}")
 
 
 def per_degree_distinct_degree(w):

@@ -18,7 +18,7 @@ from addpoly.additive import (
     upoly_to_central,
 )
 from addpoly.cli import main
-from addpoly.errors import Overflow
+from addpoly.errors import ExtensionTooLarge
 from addpoly.frobjordan import Species, rational_jordan_form
 from addpoly.latcount import (
     count_chains,
@@ -28,8 +28,8 @@ from addpoly.latcount import (
     mhat,
     ore_criterion_count,
 )
-from addpoly.oracle import minpoly_of_matrix, root_space
-from addpoly.upoly import UPoly, factor, is_irreducible, order_of_y_mod, random_upoly
+from addpoly.oracle import minpoly_of_matrix, right_components_by_division, root_space
+from addpoly.upoly import UPoly, factor, is_irreducible, random_upoly
 from corpus import all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
 from helpers import brute_components, random_additive
 
@@ -90,40 +90,52 @@ def test_criterion_2_dimension3_table_sweep():
     _report(2, f"all eight dimension-3 rows match for r in (2, 3) in {elapsed:.3f}s")
 
 
-def _reachable_corpus():
+def _reachable_corpus(skipped=None):
+    """(tower, f, root space) for each corpus instance within the extension cap; the
+    instances past it are appended to skipped."""
     for tw in audit_towers():
         ext_cap = 16 // (tw.e * tw.k)
         assert tw.q ** 3 <= 4096  # exhaustive enumeration is in range throughout
         for n in (1, 2, 3):
             for f in all_monic_squarefree(tw, n):
                 try:
-                    order_of_y_mod(
-                        central_to_upoly(minimal_central_left_component(f)), cap=ext_cap
-                    )
-                except Overflow:
+                    space = root_space(f, max_ext=ext_cap)
+                except ExtensionTooLarge:
+                    if skipped is not None:
+                        skipped.append((tw, f))
                     continue
-                yield tw, f
+                yield tw, f, space
 
 
 def test_criterion_3_bijection_audit():
     t0 = time.perf_counter()
-    audited = 0
-    for tw, f in _reachable_corpus():
+    audited, skipped = 0, []
+    for tw, f, space in _reachable_corpus(skipped):
         for d in range(f.exponent + 1):
             fast = count_right_components(f, d)
-            brute = len(brute_components(root_space(f), d))
+            brute = len(brute_components(space, d))
             assert fast == brute, (tw, f, d, fast, brute)
         audited += 1
+    # past the extension cap, trial division needs no root space: q^d <= 4096 candidates
+    for tw, f in skipped:
+        for d in range(f.exponent + 1):
+            fast = count_right_components(f, d)
+            divided = len(right_components_by_division(f, d))
+            assert fast == divided, (tw, f, d, fast, divided)
     elapsed = time.perf_counter() - t0
     assert audited >= 90  # 93 of the 133 corpus instances stay within the extension bound
+    assert audited + len(skipped) == 133
     assert elapsed < 60.0
-    _report(3, f"component counts match brute force on {audited} instances in {elapsed:.1f}s")
+    _report(
+        3,
+        f"component counts match brute force on {audited} instances and trial division on"
+        f" the other {len(skipped)} in {elapsed:.1f}s",
+    )
 
 
 def test_criterion_4_minimal_polynomial_identity():
     checked = 0
-    for tw, f in _reachable_corpus():
-        space = root_space(f)
+    for tw, f, space in _reachable_corpus():
         fast = central_to_upoly(minimal_central_left_component(f))
         oracle_mp = minpoly_of_matrix(tw.fr, space.frobenius_matrix)
         assert fast == oracle_mp

@@ -271,20 +271,18 @@ def test_evaluate_examples():
 def test_component_bijection_with_projective_factors():
     # over F_4 with r = 4, t = 3: right components of exponent d correspond
     # exactly to monic factors of the projective image having projective shape
-    from addpoly.errors import Overflow
+    from addpoly.errors import ExtensionTooLarge
     from addpoly.oracle import root_space
-    from addpoly.upoly import order_of_y_mod
 
     rng = random.Random(43)
     polys = list(all_monic_squarefree(T44, 1))
     while len(polys) < 9:
         f = random_additive(T44, rng.choice((2, 3)), rng)
         try:
-            # keep the sample inside desk-scale extensions
-            if order_of_y_mod(central_to_upoly(minimal_central_left_component(f)), cap=8) <= 8:
-                polys.append(f)
-        except Overflow:
+            root_space(f, max_ext=8)  # keep the sample inside desk-scale extensions
+        except ExtensionTooLarge:
             continue
+        polys.append(f)
     for f in polys:
         pf = projective_part(f, 3)
         for d in range(f.exponent + 1):

@@ -1,10 +1,13 @@
 """Generated JobSpecs, well-formed or not, fed to the in-process CLI: every one must end
-with exit code 0, 2 or 3 and exactly one JSON document on stdout, and never raise.
+with exit code 0, 2 or 3 (and 4, a failed check, for verify) and exactly one JSON
+document on stdout, and never raise.
 
 The JobSpecs mix small towers with well-formed polynomials, which reach the tower
 search and the species computation, with wrong types, true where an integer
 belongs, huge degrees, reducible or misshapen construction polynomials, unknown
-fields and deep nesting. The draws are derandomized (tests/conftest.py).
+fields and deep nesting. verify's JobSpecs add hostile max_ext values, root spaces
+past the extension cap at k > 1 and non-squarefree f. The draws are derandomized
+(tests/conftest.py).
 """
 
 import contextlib
@@ -12,7 +15,7 @@ import io
 import json
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from addpoly.cli import main
@@ -115,3 +118,47 @@ def test_every_generated_jobspec_ends_with_one_json_document(argv, job):
     assert out.endswith("\n") and out.count("\n") == 1
     payload = json.loads(out)
     assert (code == 0) == ("error" not in payload)
+
+
+# verify builds F_(q^E) and enumerates subspaces, so its towers and exponents stay small
+VERIFY_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2)]
+MAX_EXT = st.sampled_from([8, 4, 3, 2, 1, 0, -1, 65, 10**30, True, "8"])
+
+
+@st.composite
+def verify_job(draw):
+    p, e, k = draw(st.sampled_from(VERIFY_TOWERS))
+    coeffs = draw(st.lists(element(p, e, k), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) < 3:  # mostly monic with a_0 = 1; else a_0 may be 0, not squarefree
+        coeffs = [one(p, e, k)] + coeffs[1:] + [one(p, e, k)]
+    return {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": coeffs}, "max_ext": draw(MAX_EXT)}
+
+
+def job_of(key, coeffs, max_ext):
+    return {"p": key[0], "e": key[1], "k": key[2], "f": {"r_exp": key[1], "coeffs": coeffs}, "max_ext": max_ext}
+
+
+X2_PLUS_X = ((2, 1, 1), [1, 1])  # x^2 + x over F_2, E = 1
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(verify_job())
+@example(job_of(*X2_PLUS_X, 0))
+@example(job_of(*X2_PLUS_X, -1))
+@example(job_of(*X2_PLUS_X, 65))
+@example(job_of(*X2_PLUS_X, 10**30))
+@example(job_of(*X2_PLUS_X, True))
+@example(job_of(*X2_PLUS_X, "8"))
+@example(job_of((2, 1, 2), [[1, 1], [0, 0], [1, 1], [1, 0]], 6))  # E = 7 at k = 2
+@example(job_of((2, 2, 2), [[[1, 0], [0, 0]], [[1, 1], [0, 0]], [[1, 0], [0, 0]]], 4))  # E = 5
+@example(job_of((3, 1, 2), [[2, 1], [0, 0], [1, 0]], 7))  # E = 8 over F_9
+@example(job_of((2, 1, 2), [[0, 0], [1, 1], [1, 0]], 8))  # a_0 = 0: not squarefree
+def test_every_generated_verify_jobspec_ends_with_one_json_document(job):
+    code, out = run(["verify"], json.dumps(job))
+    assert code in (0, 2, 3, 4), out
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    if "error" in payload:
+        assert code in (2, 3, 4), out
+    else:
+        assert code == (0 if payload["all_pass"] else 4), out

@@ -1,7 +1,7 @@
 import pytest
 
 from addpoly.additive import AdditivePoly, central_to_upoly, minimal_central_left_component
-from addpoly.errors import InputError, Overflow
+from addpoly.errors import ExtensionTooLarge, InputError
 from addpoly.frobjordan import (
     RationalJordanForm,
     Species,
@@ -10,7 +10,7 @@ from addpoly.frobjordan import (
     rational_jordan_form,
 )
 from addpoly.oracle import minpoly_of_matrix, root_space, species_from_matrix
-from addpoly.upoly import UPoly, factor, order_of_y_mod
+from addpoly.upoly import UPoly, factor
 from corpus import additive, all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
 from helpers import block_matrix, companion_matrix, jordan_block, nullity_sequence, realize_species
 
@@ -116,24 +116,21 @@ def test_ddf_insufficiency_witness():
     assert sa != sb
 
 
-def _reachable_corpus(max_n=3, cap=8):
+def _reachable_corpus(max_n=3):
     for tw in audit_towers():
         bound = 16 // (tw.e * tw.k)
         for n in range(1, max_n + 1):
             for f in all_monic_squarefree(tw, n):
                 try:
-                    ext = order_of_y_mod(
-                        central_to_upoly(minimal_central_left_component(f)), cap=bound
-                    )
-                except Overflow:
+                    space = root_space(f, max_ext=bound)
+                except ExtensionTooLarge:
                     continue
-                yield tw, f, ext
+                yield tw, f, space
 
 
 def test_minimal_polynomial_identity_on_corpus():
     count = 0
-    for tw, f, _ in _reachable_corpus(max_n=2):
-        space = root_space(f)
+    for tw, f, space in _reachable_corpus(max_n=2):
         tau = central_to_upoly(minimal_central_left_component(f))
         assert minpoly_of_matrix(tw.fr, space.frobenius_matrix) == tau
         form = rational_jordan_form(f)
@@ -143,10 +140,9 @@ def test_minimal_polynomial_identity_on_corpus():
 
 
 def test_species_agreement_and_dimension_audit():
-    for tw, f, _ in _reachable_corpus(max_n=2):
+    for tw, f, space in _reachable_corpus(max_n=2):
         form = rational_jordan_form(f)
         assert form.dimension() == f.exponent
-        space = root_space(f)
         assert species_from_matrix(tw.fr, space.frobenius_matrix) == form.species
 
 

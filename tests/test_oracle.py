@@ -1,11 +1,17 @@
+import sys
 from itertools import product
 
 import pytest
 
-from addpoly import additive as skew
 from addpoly import oracle
-from addpoly.additive import AdditivePoly, central_to_upoly, evaluate, upoly_to_central
-from addpoly.errors import BudgetExceeded, ExtensionTooLarge
+from addpoly.additive import (
+    AdditivePoly,
+    central_to_upoly,
+    evaluate,
+    minimal_central_left_component,
+    upoly_to_central,
+)
+from addpoly.errors import BudgetExceeded, ExtensionTooLarge, InputError
 from addpoly.ffield import TABLE_SIZE
 from addpoly.frobjordan import Species
 from addpoly.gf2x import packed
@@ -23,9 +29,9 @@ from addpoly.oracle import (
     root_space,
     species_from_matrix,
 )
-from addpoly.upoly import UPoly, order_of_y_mod
-from corpus import additive, all_monic, all_monic_squarefree, tower, x_rpow_plus_x
-from helpers import block_matrix, brute_components, realize_species
+from addpoly.upoly import UPoly
+from corpus import additive, all_monic, all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
+from helpers import block_matrix, brute_components, order_of_y_mod, realize_species
 
 T2 = tower(2, 1, 1)
 T4 = tower(2, 1, 2)
@@ -68,6 +74,9 @@ def test_root_space_extension_degrees_and_cap():
     assert order_of_y_mod(prim3, cap=100) == 7
     space = root_space(upoly_to_central(T2, prim3), max_ext=32)
     assert space.ext_degree == 7
+    assert root_space(upoly_to_central(T2, prim3), max_ext=7).ext_degree == 7  # the cap is inclusive
+    with pytest.raises(ExtensionTooLarge):
+        root_space(upoly_to_central(T2, prim3), max_ext=6)
 
     prim5 = upoly_of(F2, 1, 0, 1, 0, 0, 1)  # y^5+y^2+1, order 31
     assert order_of_y_mod(prim5, cap=100) == 31
@@ -75,20 +84,66 @@ def test_root_space_extension_degrees_and_cap():
 
     prim6 = upoly_of(F2, 1, 1, 0, 0, 0, 0, 1)  # y^6+y+1, order 63
     assert order_of_y_mod(prim6, cap=100) == 63
-    with pytest.raises(ExtensionTooLarge):
+    with pytest.raises(ExtensionTooLarge) as refused:
         root_space(upoly_to_central(T2, prim6), max_ext=32)
+    assert str(refused.value) == "root space needs an extension of degree > 32 over F_q"
 
 
-@pytest.mark.parametrize("key, coeffs", [((2, 1, 1), (1, 1, 0, 1)), ((3, 1, 1), (2, 1, 1))])
-def test_root_space_at_k_1_reads_its_degree_off_f(monkeypatch, key, coeffs):
-    # at k = 1 every f is central, its own minimal central left component, so none is computed
-    calls = []
-    mclc = skew.minimal_central_left_component
-    monkeypatch.setattr(oracle, "minimal_central_left_component", lambda f: calls.append(f) or mclc(f))
+def test_order_of_y_examples():
+    assert order_of_y_mod(upoly_of(F2, 1, 1)) == 1  # y = 1 mod y+1
+    assert order_of_y_mod(upoly_of(F2, 1, 1, 1)) == 3
+    # (y+1)^2 = y^2+1: y^2 = 1 mod u but y != 1; verified by direct division
+    u = upoly_of(F2, 1, 0, 1)
+    assert (upoly_of(F2, 0, 0, 1) - UPoly.one(F2)) % u == UPoly.zero(F2)
+    assert order_of_y_mod(u) == 2
+    with pytest.raises(InputError):
+        order_of_y_mod(upoly_of(F2, 0, 1))  # divisible by y
+    with pytest.raises(BudgetExceeded):
+        order_of_y_mod(upoly_of(F2, 1, 1, 1), cap=2)
+
+
+@pytest.mark.parametrize(
+    "key, coeffs",
+    [((2, 1, 1), (1, 1, 0, 1)), ((3, 1, 1), (2, 1, 1)), ((2, 1, 2), (3, 0, 3, 1)), ((2, 2, 2), (1, 3, 1))],
+)
+def test_root_space_computes_no_central_component_at_any_k(monkeypatch, key, coeffs):
+    # E comes from right division by f alone: neither mclc nor tau(f*) is computed, under any
+    # name a module of the package binds them to
     f = additive(tower(*key), *coeffs)
-    space = root_space(f)
+    order = order_of_y_mod(central_to_upoly(minimal_central_left_component(f)))
+    calls = []
+    for name, module in list(sys.modules.items()):
+        for attr in ("minimal_central_left_component", "central_to_upoly"):
+            if name.startswith("addpoly") and hasattr(module, attr):
+                wrapped = getattr(module, attr)
+                monkeypatch.setattr(module, attr, lambda g, wrapped=wrapped: calls.append(g) or wrapped(g))
+    assert root_space(f).ext_degree == order > 1
     assert calls == []
-    assert space.ext_degree == order_of_y_mod(central_to_upoly(f)) > 1
+
+
+def test_root_space_degree_is_the_order_of_y_on_the_audit_corpus():
+    # within the cap E is the order of y modulo tau(f*); past it both refuse
+    checked = 0
+    for tw in audit_towers():
+        cap = 16 // (tw.e * tw.k)
+        for n in (1, 2, 3):
+            for f in all_monic_squarefree(tw, n):
+                try:
+                    order = order_of_y_mod(central_to_upoly(minimal_central_left_component(f)), cap=cap)
+                except BudgetExceeded:
+                    with pytest.raises(ExtensionTooLarge):
+                        root_space(f, max_ext=cap)
+                    continue
+                assert root_space(f, max_ext=cap).ext_degree == order, f
+                checked += 1
+    assert checked == 93
+
+
+@pytest.mark.parametrize("key", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 2, 2)])
+def test_root_space_of_x_is_zero_in_the_ground_field(key):
+    space = root_space(AdditivePoly.identity(tower(*key)))
+    assert space.ext_degree == 1
+    assert space.basis == () and space.frobenius_matrix == ()
 
 
 def test_invariant_subspaces_examples():
@@ -240,8 +295,6 @@ def _species_of_dimension(n):
 
 def test_chain_counts_match_brute_force_lattice_walk():
     # every realizable species of dimension <= 5 over r in {2, 3}
-    from addpoly.errors import InputError
-
     checked = 0
     for r in (2, 3):
         field = F2 if r == 2 else F3
@@ -263,31 +316,28 @@ def test_chain_counts_match_brute_force_lattice_walk():
 
 def test_bijection_audit_small_corpus():
     # component/subspace counts agree for every reachable f with small n
-    from addpoly.additive import central_to_upoly, minimal_central_left_component
-    from addpoly.errors import Overflow
-
     for tw in (T2, T4):
         for n in (1, 2):
             for f in all_monic_squarefree(tw, n):
                 try:
-                    order_of_y_mod(central_to_upoly(minimal_central_left_component(f)), cap=8)
-                except Overflow:
+                    space = root_space(f, max_ext=8)
+                except ExtensionTooLarge:
                     continue
-                space = root_space(f)
                 for d in range(n + 1):
                     subs = invariant_subspaces(tw.fr, space.frobenius_matrix, d)
                     brute = right_components_brute(space, d, subs)
                     assert len(set(brute)) == len(subs)
 
 
-def test_division_oracle_examples():
+def test_division_oracle_examples(monkeypatch):
     fbar = additive(T2, 0, 1, 1)  # x^4 + x^2: components x, x^2, x^2 + x, x^4 + x^2
     assert [len(right_components_by_division(fbar, d)) for d in range(-1, 4)] == [0, 1, 2, 1, 0]
     assert right_components_by_division(fbar, 2) == [fbar]
     f = x_rpow_plus_x(T4, 2)
     assert right_components_by_division(f, 1) == brute_components(root_space(f), 1)
+    monkeypatch.setattr(oracle, "DEFAULT_ENUM_BUDGET", 255)
     with pytest.raises(BudgetExceeded):
-        right_components_by_division(x_rpow_plus_x(T4, 8), 4, enum_budget=255)
+        right_components_by_division(x_rpow_plus_x(T4, 8), 4)
 
 
 def test_division_oracle_on_dimension_8_species():

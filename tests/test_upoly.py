@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from addpoly.errors import InputError, InternalInconsistency, Overflow
+from addpoly.errors import InputError, InternalInconsistency
 from addpoly.upoly import (
     UPoly,
     _equal_degree,
@@ -11,7 +11,6 @@ from addpoly.upoly import (
     gcd,
     irreducible_polynomial,
     is_irreducible,
-    order_of_y_mod,
     powmod,
     random_upoly,
     roots,
@@ -92,19 +91,6 @@ def test_is_irreducible_agrees_with_a_separate_ben_or_loop(field, max_degree):
             low = [field.from_index(index // field.size**i % field.size) for i in range(degree)]
             u = UPoly(field, low + [field.one])
             assert is_irreducible(u) == ben_or_is_irreducible(u), u
-
-
-def test_order_of_y_examples():
-    assert order_of_y_mod(upoly(F2, 1, 1)) == 1  # y = 1 mod y+1
-    assert order_of_y_mod(upoly(F2, 1, 1, 1)) == 3
-    # (y+1)^2 = y^2+1: y^2 = 1 mod u but y != 1; verified by direct division
-    u = upoly(F2, 1, 0, 1)
-    assert (upoly(F2, 0, 0, 1) - UPoly.one(F2)) % u == UPoly.zero(F2)
-    assert order_of_y_mod(u) == 2
-    with pytest.raises(InputError):
-        order_of_y_mod(upoly(F2, 0, 1))  # divisible by y
-    with pytest.raises(Overflow):
-        order_of_y_mod(upoly(F2, 1, 1, 1), cap=2)
 
 
 def test_divmod_roundtrip_random():
