@@ -214,30 +214,40 @@ def verify_report(f, max_ext=oracle.DEFAULT_MAX_EXT):
     return {"all_pass": all(c["pass"] for c in checks), "checks": checks}
 
 
-def build_parser(only=None):
-    """The CLI's parser; given a command, with that command's subparser alone."""
+def _add_options(parser, command):
+    """Add a command's options to its parser: a subparser of the full one, or its parser alone."""
+    if command != "mhat":
+        parser.add_argument("--input", default="-", help="JobSpec JSON file, or - for stdin")
+    parser.add_argument("--pretty", action="store_true", help="indented JSON output")
+    for name in COMMANDS[command][2]:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
+    if command == "count":
+        parser.add_argument("--all", action="store_true", help="emit the whole generating function")
+    return parser
+
+
+def build_parser():
+    """The CLI's full parser: one subparser per command."""
     parser = _Parser(prog="addpoly", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, settings) in COMMANDS.items():
-        if only not in (None, command):
-            continue
-        p = sub.add_parser(command, help=help_text)
-        if command != "mhat":
-            p.add_argument("--input", default="-", help="JobSpec JSON file, or - for stdin")
-        p.add_argument("--pretty", action="store_true", help="indented JSON output")
-        for name in settings:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
-        if command == "count":
-            p.add_argument("--all", action="store_true", help="emit the whole generating function")
+    for command, (_, help_text, _) in COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_text), command)
     return parser
+
+
+def parse_args(argv):
+    """argv parsed as the full parser would; a named command builds its own parser alone."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args = _add_options(_Parser(prog=f"addpoly {argv[0]}"), argv[0]).parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
     pretty = False
     try:
-        # a named command needs only its own subparser; help and errors get the full one
-        argv = sys.argv[1:] if argv is None else argv
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         pretty = args.pretty
         f, settings = _load(args)
         payload, code = COMMANDS[args.command][0](f, settings)

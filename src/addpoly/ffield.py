@@ -268,12 +268,11 @@ class ExtensionField:
         n = int(n)
         if n < 0:
             a, n = self._inv_poly(a), -n
-        result = 1
-        while n:
-            if n & 1:
+        result = a if n else 1
+        for bit in bin(n)[3:]:  # left to right below the top bit: no product by 1, no square past it
+            result = self.mul(result, result)
+            if bit == "1":
                 result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
         return result
 
     def _inv_poly(self, a):

@@ -1,15 +1,17 @@
 """Brute-force ground truth at desk scale.
 
-Everything the fast paths avoid is done explicitly here: root spaces are
-materialized inside a concrete extension field, whose degree comes from
-right division alone; the Frobenius becomes an explicit matrix, invariant
-subspaces are enumerated one reduced echelon form at a time, and right
-components are rebuilt as literal root products or found by trial
-division. All of it is gated by explicit budgets; BudgetExceeded is an
+Everything the fast paths avoid is done explicitly here, each step once: root spaces
+are materialized inside a concrete extension field, whose degree comes from right
+division alone; the Frobenius becomes an explicit matrix, invariant subspaces are
+enumerated one reduced echelon form at a time (one row set per pivot pattern, its free
+entries rewritten), chain walks close each projective point once, and right components
+are rebuilt as literal root products (on gf2x's packed ints where it has a kernel) or
+found by trial division. All of it is gated by explicit budgets; BudgetExceeded is an
 expected, typed outcome, never a correctness escape hatch.
 """
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import combinations, product
 
 from . import linalg, upoly
@@ -22,6 +24,7 @@ from .errors import (
     InternalInconsistency,
 )
 from .frobjordan import Species, lambdas_from_nullities
+from .gf2x import packed
 from .latcount import gaussian_binomial
 from .upoly import UPoly
 
@@ -129,10 +132,10 @@ def invariant_subspaces(field, mat, d):
             for j in range(pivots[i] + 1, n)
             if j not in pivot_set
         ]
+        rows = [[field.zero] * n for _ in range(d)]  # one basis per pivot pattern; only free entries change
+        for i, p in enumerate(pivots):
+            rows[i][p] = field.one
         for values in product(elements, repeat=len(free)):
-            rows = [[field.zero] * n for _ in range(d)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = field.one
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             if _is_invariant(field, mat, rows, pivots):
@@ -164,18 +167,18 @@ def right_components_brute(space, d, subspaces):
     """
     f, tower, field, r = space.poly, space.tower, space.field, space.tower.r
     check_root_budget(r, d)
-    fq, elements = tower.fq, list(tower.fr.elements())
+    fq, elements, kernel = tower.fq, list(tower.fr.elements()), packed(field)
+    leaf, mul = (kernel.pack, kernel.mul) if kernel else (partial(UPoly, field), UPoly.__mul__)
     components = []
     for sub in subspaces:
         # F_r elements are elements of the extension, so a combination is a plain sum
         gens = [_combination(field, row, space.basis) for row in sub]
         roots = (_combination(field, cs, gens) for cs in product(elements, repeat=d))
-        layer = [UPoly(field, (field.neg(alpha), field.one)) for alpha in roots]
+        layer = [leaf((field.neg(alpha), field.one)) for alpha in roots]  # packed once where gf2x has a kernel
         while len(layer) > 1:
-            layer = [a * b for a, b in zip(layer[::2], layer[1::2])] + layer[len(layer) // 2 * 2 :]
-        poly = layer[0]
+            layer = [mul(a, b) for a, b in zip(layer[::2], layer[1::2])] + layer[len(layer) // 2 * 2 :]
         skew = [fq.zero] * (d + 1)
-        for i, c in enumerate(poly.coeffs):
+        for i, c in enumerate(kernel.unpack(layer[0]) if kernel else layer[0].coeffs):
             if c == field.zero:
                 continue
             exp = _r_power_index(i, r, d)
@@ -232,9 +235,10 @@ def maximal_chains_brute(field, mat):
     """Count saturated chains of invariant subspaces from 0 to the full space.
 
     Walks the lattice by quotienting out one minimal invariant subspace at a
-    time (minimality checked by cyclic closures of projective points) and
-    memoizes on the literal quotient matrices. Chain lengths are asserted
-    equal along the way.
+    time and memoizes on the literal quotient matrices. A closure is minimal
+    when each of its points closes to all of it: each projective point's cyclic
+    closure is computed once, and its dimension looked up in a byte table.
+    Chain lengths are asserted equal along the way.
     """
     memo = {}
 
@@ -281,31 +285,32 @@ def _cyclic_closure(field, mat, vec):
     while stack:
         if linalg.echelon_insert(field, rows, pivots, stack.pop()) is None:
             stack.append(linalg.mat_vec(field, mat, rows[-1]))
-    return linalg.rref(field, rows)
+    return [row for _, row in sorted(zip(pivots, rows))], sorted(pivots)  # echelon_insert left them reduced
 
 
 def _minimal_invariant_subspaces(field, mat):
-    n = len(mat)
-    closures = {}
+    n, q = len(mat), field.size
+    closures, dims = {}, bytearray(q**n)  # dims[base-q index of a point]: its closure's dimension
     for point in _projective_points(field, n):
         rows, pivots = _cyclic_closure(field, mat, point)
+        dims[reduce(lambda x, c: x * q + c, point, 0)] = len(rows)
         k = tuple(tuple(field.to_index(c) for c in row) for row in rows)
         closures.setdefault(k, (rows, pivots))
     minimal = []
     for rows, pivots in closures.values():
-        if len(rows) == 1 or _is_simple(field, mat, rows, pivots):
+        if len(rows) == 1 or _is_simple(field, rows, dims):
             minimal.append((rows, pivots))
     return minimal
 
 
-def _is_simple(field, mat, rows, pivots):
-    dim = len(rows)
+def _is_simple(field, rows, dims):
+    dim, q = len(rows), field.size
     for point in _projective_points(field, dim):
         w = [field.zero] * len(rows[0])
         for c, row in zip(point, rows):
             if c != field.zero:
                 w = [field.add(a, field.mul(c, b)) for a, b in zip(w, row)]
-        if len(_cyclic_closure(field, mat, w)[0]) != dim:
+        if dims[reduce(lambda x, c: x * q + c, w, 0)] != dim:  # w is normalized: rows are reduced
             return False
     return True
 

@@ -2,12 +2,14 @@
 additive polynomials, explicit matrices realizing a species, the checked
 nullity sequence of one eigenfactor, a separate Ben-Or loop, a per-degree
 distinct-degree loop, a tuple reference field and schoolbook polynomials over it,
-the oracle's root products over every invariant subspace of one dimension, and the
-capped order of y modulo a polynomial."""
+the oracle's root products over every invariant subspace of one dimension, the
+capped order of y modulo a polynomial, and the chain walk's minimal invariant
+subspaces with every point's closure recomputed."""
 
 import functools
+from itertools import product
 
-from addpoly import oracle, upoly
+from addpoly import linalg, oracle, upoly
 from addpoly.additive import (
     DENSE_EXPANSION_CAP,
     AdditivePoly,
@@ -490,3 +492,41 @@ class ReferencePolys:
             if len(self.monic_gcd(self.difference(h, y), u)) != 1:
                 return False
         return True
+
+
+def krylov_closure(field, mat, vec):
+    """The rref (rows, pivots) of span{vec, mat vec, mat^2 vec, ...}, grown until the rank stops."""
+    vectors = [list(vec)]
+    while True:
+        rows, pivots = linalg.rref(field, vectors)
+        if len(rows) < len(vectors):
+            return rows, pivots
+        vectors.append(linalg.mat_vec(field, mat, vectors[-1]))
+
+
+def _normalized_points(field, n):
+    """Every nonzero vector of length n whose first nonzero entry is one."""
+    for vec in product(list(field.elements()), repeat=n):
+        if next((c for c in vec if c != field.zero), field.one) == field.one and any(vec):
+            yield list(vec)
+
+
+def is_simple_by_closures(field, mat, rows):
+    """The chain walk's minimality test as it was before the closure table: whether every
+    point of the span of rows has a cyclic closure, recomputed here, as large as the span."""
+    dim = len(rows)
+    for point in _normalized_points(field, dim):
+        w = [field.zero] * len(rows[0])
+        for c, row in zip(point, rows):
+            if c != field.zero:
+                w = [field.add(a, field.mul(c, b)) for a, b in zip(w, row)]
+        if len(krylov_closure(field, mat, w)[0]) != dim:
+            return False
+    return True
+
+
+def minimal_invariant_subspaces_by_closures(field, mat):
+    """The reference for oracle._minimal_invariant_subspaces: the distinct cyclic closures of
+    the projective points that are simple, as a set of tuples of rref rows."""
+    closures = {tuple(map(tuple, krylov_closure(field, mat, v)[0])) for v in _normalized_points(field, len(mat))}
+    return {c for c in closures if len(c) == 1 or is_simple_by_closures(field, mat, [list(r) for r in c])}

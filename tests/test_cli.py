@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from addpoly.cli import COMMANDS, build_parser, main
+from addpoly.cli import COMMANDS, build_parser, main, parse_args
 from addpoly.errors import InputError
 
 
@@ -332,11 +334,17 @@ def test_module_entry_point_prints_one_json_line(argv, stdin, code):
         assert payload["species"] == [[1, [2]]]
 
 
-def _parsed(only, argv):
+def _parsed(parse, argv):
+    """What parse makes of argv: the namespace, the error message, or the exit code and the text
+    printed (help)."""
+    out = io.StringIO()
     try:
-        return vars(build_parser(only).parse_args(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return vars(parse(argv))
     except InputError as exc:
-        return str(exc)
+        return "error", str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -349,8 +357,19 @@ def test_one_command_parser_parses_as_the_full_parser(command):
         every.append("--all")
     cases = [[command], every, every + ["--bogus"], [command, "--seed", "1"]]
     cases += [[command, flag, "x"] for flag in flags] + [[command, "--input"]]
+    # help, abbreviations, --flag=value, --, missing values, stray positionals, repeated flags
+    cases += [[command, "-h"], [command, "--help"], [command, "--h"], [command, "--he"], [command, "--pretty", "-h"]]
+    cases += [[command, "--inp", "j"], [command, "--in=j"], [command, "--input=j"], [command, "--pre"]]
+    cases += [[command, "--p"], [command, "--al"], [command, "--a"], [command, "--d", "1"], [command, "--all"]]
+    cases += [[command, "--"], [command, "--", "--pretty"], [command, "--pretty", "--"], [command, "--", "x"]]
+    cases += [[command, "x"], [command, "x", "--pretty"], [command, "--pretty", "x"], [command, "-x"], [command, "-"]]
+    cases += [[command, "--pretty", "--pretty"], [command, "--input", "-"], [command, "--input", "--pretty"]]
+    cases += [[command, "species"], [command, "-p"], [command, "--=x"], [command, "---x"]]
+    for flag in flags:
+        cases += [[command, flag], [command, flag + "=3"], [command, flag, "-3"], [command, flag + "=-3"]]
+        cases += [[command, flag, "1", flag, "2"], [command, flag, ""], [command, flag[:4], "5"]]
     for argv in cases:
-        assert _parsed(command, argv) == _parsed(None, argv), argv
+        assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv), argv
 
 
 @pytest.mark.parametrize("p", [0, 1, -7, 1763, 3215031751])

@@ -218,3 +218,61 @@ def test_odd_levels_above_16_elements_keep_no_byte_tables(key):
     level = tower(*key).fq  # F_17, F_25, F_27 and F_81 divide and eliminate on lists
     assert level.size > 16
     assert level.scales is level.frobs is level.diffs is None
+
+
+def _power_by_products(level, a, n):
+    """a^n from level.mul alone: n taken mod size - 1 for a != 0 (Fermat), so that a negative n
+    needs no inverse; then a multiplied in m times for small m, else the product of the
+    a^(2^i), each made by i repeated squarings, over the set bits i of m."""
+    if not a:
+        if n < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 if n == 0 else 0
+    m, result = n % (level.size - 1), 1
+    if m <= 64:
+        for _ in range(m):
+            result = level.mul(result, a)
+        return result
+    for bit in bin(m)[:1:-1]:
+        if bit == "1":
+            result = level.mul(result, a)
+        a = level.mul(a, a)
+    return result
+
+
+# the flat levels whose powers run left to right on their own products: F_(2^32), F_(3^13),
+# F_(9^4) through its flat F_(3^8), and the flat F_(2^30) under the oracle's F_(4^15)
+POW_LEVELS = {"F2^32": ((2, 32, 1), 1, False), "F3^13": ((3, 1, 1), 13, False), "F9^4": ((3, 2, 4), 1, False)}
+POW_LEVELS["F2^30 under F4^15"] = ((2, 2, 1), 15, True)
+
+
+@pytest.mark.parametrize("name", sorted(POW_LEVELS))
+def test_left_to_right_powers_match_repeated_multiplication(name):
+    key, ext_degree, flat = POW_LEVELS[name]
+    tw, level, _ = _levels(key, ext_degree)
+    if flat:
+        level = level._flat[2]
+    assert level._flat[2].pow == level._flat[2]._pow_poly  # powers on a flat level over F_p
+    rng = random.Random(f"pow:{name}")
+    exponents = (0, 1, 2, 3, tw.r, tw.q, level.size - 2, 10**30 + 7, -1, -5)
+    for a in [0, 1, level.size - 1] + [rng.randrange(level.size) for _ in range(6)]:
+        for n in exponents:
+            if not a and n < 0:
+                with pytest.raises(ZeroDivisionError):
+                    level.pow(a, n)
+            else:
+                assert level.pow(a, n) == _power_by_products(level, a, n), (a, n)
+
+
+def test_a_square_on_f_2_32_is_one_product(monkeypatch):
+    level = tower(2, 32, 1).fr
+    calls, mul = [], level.mul
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(level, "mul", counting_mul)
+    a = random.Random("square").randrange(2, level.size)
+    assert level.pow(a, 2) == mul(a, a)
+    assert calls == [(a, a)]

@@ -1,9 +1,12 @@
+import random
 import sys
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from addpoly import oracle
+from addpoly import linalg, oracle
 from addpoly.additive import (
     AdditivePoly,
     central_to_upoly,
@@ -31,7 +34,15 @@ from addpoly.oracle import (
 )
 from addpoly.upoly import UPoly
 from corpus import additive, all_monic, all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
-from helpers import block_matrix, brute_components, order_of_y_mod, realize_species
+from helpers import (
+    block_matrix,
+    brute_components,
+    companion_matrix,
+    krylov_closure,
+    minimal_invariant_subspaces_by_closures,
+    order_of_y_mod,
+    realize_species,
+)
 
 T2 = tower(2, 1, 1)
 T4 = tower(2, 1, 2)
@@ -230,8 +241,6 @@ def _space_elements(space):
 def test_maximal_chains_examples():
     assert maximal_chains_brute(F2, diag(F2, 1, 1)) == 3
     assert maximal_chains_brute(F2, diag(F2, 1, 1, 1)) == 21
-    from helpers import companion_matrix
-
     assert maximal_chains_brute(F2, companion_matrix(upoly_of(F2, 1, 1, 0, 1))) == 1
 
 
@@ -312,6 +321,70 @@ def test_chain_counts_match_brute_force_lattice_walk():
                 )
                 checked += 1
     assert checked > 60
+
+
+F4 = tower(2, 2, 1).fr
+MINIMALITY_FIELDS = {2: F2, 3: F3, 4: F4}
+COMPANION_F2 = companion_matrix(upoly_of(F2, 1, 1, 0, 1))
+
+
+@st.composite
+def _square_matrices(draw):
+    q = draw(st.sampled_from(sorted(MINIMALITY_FIELDS)))
+    n = draw(st.integers(1, 4))
+    return q, draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=100)
+@given(_square_matrices())
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # the identity: every line is minimal
+@example((3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))  # a Jordan block: one minimal line
+@example((2, COMPANION_F2))  # y^3 + y + 1 irreducible: the whole space is simple
+@example((3, diag(F3, 1, 1, 2)))  # two eigenspaces, lines of the plane and one more
+def test_minimal_subspaces_match_recomputed_closures(case):
+    q, mat = case
+    field = MINIMALITY_FIELDS[q]
+    minimal = [tuple(map(tuple, rows)) for rows, _ in oracle._minimal_invariant_subspaces(field, mat)]
+    assert len(minimal) == len(set(minimal))
+    assert set(minimal) == minimal_invariant_subspaces_by_closures(field, mat)
+
+
+def test_cyclic_closure_rows_are_their_own_rref():
+    rng = random.Random("closure")
+    for field in (F2, F3, F4):
+        for n in (1, 2, 3, 4):
+            mats = [[[rng.randrange(field.size) for _ in range(n)] for _ in range(n)] for _ in range(8)]
+            for mat in mats + [diag(field, *[1] * n)]:
+                for vec in oracle._projective_points(field, n):
+                    rows, pivots = oracle._cyclic_closure(field, mat, vec)
+                    assert (rows, pivots) == linalg.rref(field, rows) == krylov_closure(field, mat, vec)
+
+
+@pytest.mark.parametrize(
+    "q, mat",
+    [(2, COMPANION_F2), (3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]), (3, diag(F3, 1, 1, 2)), (4, [[0, 1], [1, 1]])],
+)
+def test_minimal_subspaces_compute_one_closure_per_point(monkeypatch, q, mat):
+    field, calls, closure = MINIMALITY_FIELDS[q], [], oracle._cyclic_closure
+
+    def counting_closure(*args):
+        calls.append(1)
+        return closure(*args)
+
+    monkeypatch.setattr(oracle, "_cyclic_closure", counting_closure)
+    oracle._minimal_invariant_subspaces(field, mat)
+    assert len(calls) == (q ** len(mat) - 1) // (q - 1)
+
+
+@pytest.mark.parametrize(
+    "field, entries",
+    [(F2, [(1, (7,))]), (F3, [(1, (5,)), (1, (1,))]), (F3, [(1, (1, 2))])],
+    ids=["(1;(7))/F2", "(1;(5))+(1;(1))/F3", "(1;(1,2))/F3"],
+)
+def test_chain_walk_on_rich_lattices(field, entries):
+    # many invariant subspaces per level: the closure table's largest savings
+    species = Species.make(entries)
+    assert maximal_chains_brute(field, block_matrix(realize_species(field, species))) == count_chains(species, field.size)
 
 
 def test_bijection_audit_small_corpus():
