@@ -95,17 +95,17 @@ def json_coefficients(obj, e, check):
 def compose(g, h):
     """The skew product g o h."""
     g._check(h)
-    return AdditivePoly(g.tower, _product(g.tower.fq, g.coeffs, _twists(h, len(g.coeffs))))
+    return AdditivePoly(g.tower, _product(g.tower.fq, g.coeffs, _twists(g.tower, h.coeffs, len(g.coeffs))))
 
 
-def _twists(h, count):
-    """Twist s of h, each coefficient raised to r^s, for s below count and below the
-    order of the r-power Frobenius on F_q, after which the twists repeat."""
-    fq, r, order = h.tower.fq, h.tower.r, h.tower.sigma_r_order(h.tower.fq)
+def _twists(tower, coeffs, count):
+    """Twist s of the coefficients of an element of F_q[x;r], each raised to r^s, for s below
+    count and below the order of the r-power Frobenius on F_q, after which the twists repeat."""
+    fq, r, order = tower.fq, tower.r, tower.sigma_r_order(tower.fq)
     if fq.frobs:  # bytes, twist s one translate through x -> x^(r^s) = x^(p^(es))
-        b = bytes(h.coeffs)
-        return [b] + [b.translate(fq.frobs[h.tower.e * s]) for s in range(1, min(count, order))]
-    return [list(h.coeffs)] + [[fq.pow(c, r**s) for c in h.coeffs] for s in range(1, min(count, order))]
+        b = bytes(coeffs)
+        return [b] + [b.translate(fq.frobs[tower.e * s]) for s in range(1, min(count, order))]
+    return [list(coeffs)] + [[fq.pow(c, r**s) for c in coeffs] for s in range(1, min(count, order))]
 
 
 def right_divmod(f, h):
@@ -118,16 +118,25 @@ def right_divmod(f, h):
     if h.is_zero:
         raise ZeroDivisionError("right division by the zero polynomial")
     tower = f.tower
-    quot, rem = _divide(tower.fq, f.coeffs, _twists(h, f.exponent - h.exponent + 1))
+    quot, rem = _divide(tower.fq, f.coeffs, _twists(tower, h.coeffs, f.exponent - h.exponent + 1))
     return AdditivePoly(tower, quot), AdditivePoly(tower, rem)
 
 
 def gcrc(f, g):
-    """Monic greatest common right component, by the right-Euclidean algorithm."""
+    """Monic greatest common right component, by the right-Euclidean algorithm: over a level with
+    byte-slot tables on ints of byte slots, packed once, each step dividing with _byte_divider."""
     f._check(g)
     if f.is_zero and g.is_zero:
         raise InputError("gcrc(0, 0) is undefined")
     a, b = (f, g) if f.exponent >= g.exponent else (g, f)  # else the first division only swaps
+    tower = f.tower
+    if tower.fq.scales:
+        slots, a, b = len(a.coeffs), *(int.from_bytes(bytes(x.coeffs), "little") for x in (a, b))
+        while b:  # a has `slots` byte slots, b no more
+            m = (b.bit_length() + 7) // 8
+            twists = _twists(tower, b.to_bytes(m, "little"), slots - m + 1)
+            a, b, slots = b, _byte_divider(tower.fq, twists)(a)[1], m
+        return AdditivePoly(tower, a.to_bytes(slots, "little")).monic()
     while not b.is_zero:
         a, b = b, right_divmod(a, b)[1]
     return a.monic()
@@ -179,7 +188,7 @@ def minimal_central_left_component(f):
     if n < 1:
         raise InputError("input must have exponent >= 1")
 
-    twists, width = _twists(f, k), n * k  # the r-power Frobenius has order k on F_q
+    twists, width = _twists(tower, f.coeffs, k), n * k  # the r-power Frobenius has order k on F_q
     if fq.scales:  # rem is one int of byte slots, and x^q times it a shift by k bytes
         divide, r = _byte_divider(fq, twists), fr.size
         digits = [bytes(v // r**j % r for v in range(fq.size)).ljust(256, b"\0") for j in range(k)]

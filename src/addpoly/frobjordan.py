@@ -10,7 +10,7 @@ When k = 1 the species is read off one factorization of u_f = sum a_i y^i.
 from dataclasses import dataclass
 
 from . import upoly
-from .additive import central_to_upoly, gcrc, minimal_central_left_component, upoly_to_central
+from .additive import central_to_upoly, gcrc, minimal_central_left_component, right_divmod, upoly_to_central
 from .errors import InputError, InternalInconsistency
 from .upoly import UPoly
 
@@ -105,12 +105,17 @@ def lambdas_from_nullities(nu, m):
 
 
 def _nullity_sequence(f, u, k):
-    tower = f.tower
-    nu = [0]  # gcrc(f, x) = x
-    power = UPoly.one(tower.fr)
-    for _ in range(k + 1):
-        power = power * u
-        nu.append(gcrc(f, upoly_to_central(tower, power)).exponent)
+    """nu_0..nu_(k+1) of u, peeled: with h_0 = f, g = gcrc(h_j, u(x^q)) has root space ker u in V_(h_j),
+    and nu_(j+1) = nu_j + expn g. g has coefficients in F_q, so it commutes with the q-Frobenius, and
+    h_(j+1), the right quotient of h_j by g, has root space V_(h_j) / ker u."""
+    big_u, h, nu = upoly_to_central(f.tower, u), f, [0]
+    for j in range(k + 1):
+        g = gcrc(h, big_u)
+        nu.append(nu[-1] + g.exponent)
+        if j < k:  # the step past k only checks that nu is stable, and needs no h_(k+2)
+            h, rem = right_divmod(h, g)
+            if not rem.is_zero:
+                raise InternalInconsistency("gcrc(h, u(x^q)) is not a right component of h")
     return nu
 
 
@@ -119,9 +124,9 @@ def rational_jordan_form(f):
 
     Steps: minimal central left component, complete factorization of its
     commutative image, then one gcrc-driven nullity sequence per
-    eigenfactor. The u^j are built incrementally, and nu_(k+1) is computed
-    even though the sequence stabilizes at k, keeping the second-difference
-    formula uniform at j = k.
+    eigenfactor, peeled one kernel of u at a time (_nullity_sequence), and
+    nu_(k+1) is computed even though the sequence stabilizes at k, keeping
+    the second-difference formula uniform at j = k.
     When k = 1 the ring is commutative, f* = f and the root space is the
     cyclic module F_r[y]/(u_f) (Ore 1933), so nu_j = deg u * min(j, mult).
     """

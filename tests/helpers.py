@@ -1,6 +1,7 @@
 """Helpers that only the tests use: dense expansions, left division, random
 additive polynomials, explicit matrices realizing a species, the checked
-nullity sequence of one eigenfactor, a separate Ben-Or loop, a per-degree
+nullity sequence of one eigenfactor, gcrc by right division at every step and
+the nullity sequence from the powers of u, a separate Ben-Or loop, a per-degree
 distinct-degree loop, a tuple reference field and schoolbook polynomials over it,
 the oracle's root products over every invariant subspace of one dimension, the
 capped order of y modulo a polynomial, and the chain walk's minimal invariant
@@ -15,6 +16,8 @@ from addpoly.additive import (
     AdditivePoly,
     central_to_upoly,
     minimal_central_left_component,
+    right_divmod,
+    upoly_to_central,
 )
 from addpoly.errors import BudgetExceeded, InputError, InternalInconsistency, NotInSubfield
 from addpoly.frobjordan import RationalJordanForm, _nullity_sequence
@@ -110,7 +113,8 @@ def substitute(a, b):
 def nullity_sequence(f, u, k):
     """Kernel dimensions nu_j of u(Frobenius)^j on the root space, j = 0..k+1.
 
-    Each nu_j is the exponent of gcrc(f, the central preimage of u^j);
+    frobjordan._nullity_sequence peels them: nu_(j+1) - nu_j is the exponent of
+    gcrc(h_j, u(x^q)), h_0 = f and h_(j+1) the right quotient of h_j by that gcrc;
     validates that u is an eigenfactor of f of multiplicity exactly k.
     """
     tau_fstar = central_to_upoly(minimal_central_left_component(f))
@@ -119,6 +123,28 @@ def nullity_sequence(f, u, k):
     nu = _nullity_sequence(f, u, k)
     if any(nu[j] > nu[j + 1] for j in range(k + 1)) or nu[k] != nu[k + 1]:
         raise InternalInconsistency(f"nullity sequence {nu} is not monotone-stable")
+    return nu
+
+
+def gcrc_by_division(f, g):
+    """The monic gcrc by the right-Euclidean algorithm with a right_divmod per step, on every
+    level: the reference for additive.gcrc, which keeps byte-slot levels on packed ints."""
+    if f.is_zero and g.is_zero:
+        raise InputError("gcrc(0, 0) is undefined")
+    a, b = (f, g) if f.exponent >= g.exponent else (g, f)
+    while not b.is_zero:
+        a, b = b, right_divmod(a, b)[1]
+    return a.monic()
+
+
+def nullity_sequence_by_powers(f, u, k):
+    """nu_j = the exponent of gcrc(f, u^j(x^q)) for j = 0..k+1, the powers of u built one at a
+    time: the reference for frobjordan._nullity_sequence, which peels one kernel of u per step."""
+    tower = f.tower
+    nu, power = [0], UPoly.one(tower.fr)  # gcrc(f, x) = x
+    for _ in range(k + 1):
+        power = power * u
+        nu.append(gcrc_by_division(f, upoly_to_central(tower, power)).exponent)
     return nu
 
 

@@ -75,6 +75,37 @@ def test_species_over_f9_takes_no_list_arithmetic(capsys, monkeypatch):
     assert calls.count(("bytes", 9)) > 1  # mclc's divider and gcrc's divisions
 
 
+def test_species_over_f16_keeps_gcrc_off_right_divmod(capsys, monkeypatch):
+    # F_16 has byte-slot tables: gcrc's Euclid divides on packed ints from its first step to its
+    # last, and only the peel's quotient divisions (and mclc's final check) call right_divmod;
+    # each eigenfactor of multiplicity mult takes mult + 1 gcrc calls
+    import random
+
+    from addpoly import additive, frobjordan
+    from addpoly.ffield import tower_create
+    from helpers import random_additive
+
+    depth, gcrcs, divisions = [0], [], []
+    gcrc, right_divmod = frobjordan.gcrc, additive.right_divmod
+
+    def counted_gcrc(f, g):
+        gcrcs.append(f)
+        depth[0] += 1
+        try:
+            return gcrc(f, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(frobjordan, "gcrc", counted_gcrc)
+    monkeypatch.setattr(additive, "right_divmod", lambda f, h: divisions.append(depth[0]) or right_divmod(f, h))
+    job = {"p": 2, "e": 2, "k": 2, "f": random_additive(tower_create(2, 2, 2), 16, random.Random(0)).to_json()}
+    code, out = run(capsys, ["species"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0
+    mults = [mult for _, mult in json.loads(out)["minpoly_factors"]]
+    assert max(mults) >= 2 and len(gcrcs) == sum(mult + 1 for mult in mults)
+    assert divisions and not any(divisions)  # mclc's check divides, no gcrc step does
+
+
 def test_species_malformed_coeffs(capsys, monkeypatch):
     bad = json.dumps({"p": 2, "e": 1, "k": 2, "f": {"r_exp": 1, "coeffs": [[1, 0], [1]]}})
     code, out = run(capsys, ["species"], stdin=bad, monkeypatch=monkeypatch)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from addpoly import frobjordan
 from addpoly.additive import AdditivePoly, central_to_upoly, minimal_central_left_component
-from addpoly.errors import ExtensionTooLarge, InputError
+from addpoly.errors import ExtensionTooLarge, InputError, InternalInconsistency
 from addpoly.frobjordan import (
     RationalJordanForm,
     Species,
@@ -12,7 +15,15 @@ from addpoly.frobjordan import (
 from addpoly.oracle import minpoly_of_matrix, root_space, species_from_matrix
 from addpoly.upoly import UPoly, factor
 from corpus import additive, all_monic_squarefree, audit_towers, tower, x_rpow_plus_x
-from helpers import block_matrix, companion_matrix, jordan_block, nullity_sequence, realize_species
+from helpers import (
+    block_matrix,
+    companion_matrix,
+    jordan_block,
+    nullity_sequence,
+    nullity_sequence_by_powers,
+    random_additive,
+    realize_species,
+)
 
 T2 = tower(2, 1, 1)
 T4 = tower(2, 1, 2)
@@ -69,6 +80,38 @@ def test_nullity_sequence_contract():
         nullity_sequence(f, upoly_of(F2, 1, 1, 1), 1)  # not an eigenfactor
     f44 = x_rpow_plus_x(T4, 2)
     assert nullity_sequence(f44, u, 1) == [0, 2, 2]
+
+
+def _peel_cases():
+    """(f, whether some eigenfactor of f has multiplicity >= 2) for the peeled nullity test."""
+    g = T4.fq.from_index(2)  # the generator of F_4, not in F_2
+    for n in (8, 16):
+        yield AdditivePoly(T4, [g] + [T4.fq.zero] * (n - 1) + [T4.fq.one]), True  # x^(2^n) + g x
+    yield x_rpow_plus_x(T4, 12), True  # x^(q^6) + x, central: (y + 1)^2 (y^2 + y + 1)^2
+    t322 = tower(3, 2, 2)
+    minus_one = t322.fq.neg(t322.fq.one)
+    yield AdditivePoly(t322, [minus_one] + [t322.fq.zero] * 5 + [t322.fq.one]), True  # x^(q^3) - x: (y - 1)^3
+    for shape, n in (((3, 2, 2), 8), ((2, 2, 2), 16), ((2, 1, 2), 24), ((3, 1, 2), 12), ((2, 1, 3), 12)):
+        for seed in range(3):
+            yield random_additive(tower(*shape), n, random.Random(seed)), False
+
+
+def test_peeled_nullities_match_the_powers_of_each_eigenfactor():
+    for f, repeated in _peel_cases():
+        mults = []
+        for u, mult in factor(central_to_upoly(minimal_central_left_component(f))):
+            assert _nullity_sequence(f, u, mult) == nullity_sequence_by_powers(f, u, mult), (f, u, mult)
+            mults.append(mult)
+        assert not repeated or max(mults) >= 2
+
+
+def test_peel_rejects_a_gcrc_that_is_not_a_right_component(monkeypatch):
+    # h + x has h's exponent and leading coefficient, so h / (h + x) leaves the remainder -x
+    monkeypatch.setattr(frobjordan, "gcrc", lambda h, big_u: h + AdditivePoly.identity(h.tower))
+    with pytest.raises(InternalInconsistency, match="not a right component"):
+        _nullity_sequence(x_rpow_plus_x(T4, 4), upoly_of(F2, 1, 1), 2)
+    with pytest.raises(InternalInconsistency, match="not a right component"):
+        rational_jordan_form(random_additive(tower(2, 2, 2), 16, random.Random(0)))
 
 
 def test_lambdas_from_nullities():

@@ -19,7 +19,7 @@ from addpoly.frobjordan import rational_jordan_form
 from addpoly.latcount import generating_function
 from addpoly.linalg import SpanTracker, echelon_insert
 from corpus import tower
-from helpers import random_additive
+from helpers import gcrc_by_division, random_additive
 
 F2, F3, F9, F13 = tower(2, 1, 1).fr, tower(3, 1, 1).fr, tower(3, 2, 1).fr, tower(13, 1, 1).fr
 TRACKER_FIELDS = (F2, tower(2, 2, 1).fr, tower(2, 4, 1).fr, tower(2, 8, 1).fr, F3, F9, F13)
@@ -33,6 +33,9 @@ SKEW_TOWERS = (
     (13, 1, 2), (5, 1, 2),
 )
 LAW_TOWERS = ((2, 1, 2), (2, 2, 2), (2, 4, 2), (2, 3, 3), (3, 1, 2), (2, 2, 7), (3, 2, 4), (2, 1, 9), (3, 2, 1), (13, 1, 1))
+# gcrc packs F_4, F_16 and F_256 of char 2 and F_3, F_9 and F_13 into byte slots; F_81 of (3,2,2)
+# and F_512 of (2,3,3) divide by right_divmod on lists.
+GCRC_TOWERS = ((2, 1, 2), (2, 2, 2), (2, 4, 2), (3, 1, 1), (3, 1, 2), (13, 1, 1), (3, 2, 2), (2, 3, 3))
 MAX_EXPONENT = 9
 
 derandomized = settings(max_examples=40)
@@ -185,6 +188,37 @@ def test_gcrc_divides_both_inputs(case, common):
     assert right_divmod(d, c)[1].is_zero  # every common right component divides the greatest
 
 
+def gcrc_cases(max_exponent=5):
+    """(tower, f, g, c) over GCRC_TOWERS: the test takes f o c and g o c, so c is a common right
+    component; f and g may be zero, c is not."""
+
+    def case(shape):
+        size = tower(*shape).fq.size
+        coeffs = st.lists(st.integers(0, size - 1), max_size=max_exponent + 1)
+        common = st.tuples(st.lists(st.integers(0, size - 1), max_size=max_exponent), st.integers(1, size - 1))
+        return st.tuples(st.just(shape), coeffs, coeffs, common.map(lambda t: t[0] + [t[1]]))
+
+    return st.sampled_from(GCRC_TOWERS).flatmap(case)
+
+
+@derandomized
+@given(gcrc_cases())
+@example(((2, 2, 2), [], [3, 1, 7], [5, 1]))  # one operand zero
+@example(((3, 1, 2), [4, 1], [2, 0, 5, 8, 1], [7, 1]))  # the second operand longer
+@example(((2, 4, 2), [200, 3, 1], [17, 255, 9], [1]))  # equal exponents
+@example(((13, 1, 1), [1, 1], [5, 1], [1]))  # coprime: x^13 + x and x^13 + 5 x, gcrc x
+@example(((2, 3, 3), [1, 1], [5, 1], [1]))  # coprime over F_512, on lists
+@example(((3, 2, 2), [6, 0, 1], [1], [40, 2, 1]))  # the first a right multiple of the second
+@example(((3, 1, 1), [1], [2, 1, 0, 1], [1, 2, 1]))  # the second a right multiple of the first
+def test_gcrc_matches_division_at_every_step(case):
+    shape, fs, gs, cs = case
+    c = poly(shape, cs)
+    f, g = compose(poly(shape, fs), c), compose(poly(shape, gs), c)
+    if f.is_zero and g.is_zero:
+        return
+    assert gcrc(f, g) == gcrc_by_division(f, g) == gcrc(g, f)
+
+
 def test_mclc_twists_its_divisor_once(monkeypatch):
     """f's Frobenius twists are taken once per mclc and once by its final check; over F_4 they
     are translates through the byte table of x -> x^2, so no power is taken at all."""
@@ -194,8 +228,8 @@ def test_mclc_twists_its_divisor_once(monkeypatch):
     calls, twisted = [], []
     pow_, twists_ = fq.pow, additive._twists
     monkeypatch.setattr(fq, "pow", lambda a, e: calls.append(e) or pow_(a, e))
-    monkeypatch.setattr(additive, "_twists", lambda h, count: twisted.append(h) or twists_(h, count))
+    monkeypatch.setattr(additive, "_twists", lambda tw, cs, count: twisted.append(cs) or twists_(tw, cs, count))
     fstar = minimal_central_left_component(f)
     assert fstar.exponent // k > 2  # enough divisions that a rebuild per division would show
     assert len(calls) <= 2 * (k - 1) * (n + 1)
-    assert twisted == [f, f]
+    assert twisted == [f.coeffs, f.coeffs]
