@@ -383,7 +383,7 @@ class ExtensionField:
         return to 1 before size - 1 steps rejects g.
         """
         p, q, q1, dim = self.char, self.size, self.size - 1, self.dim
-        residue = upoly._residues(p, 0)
+        residue = upoly._residues(p)
         planes = []  # plane j holds F_p digit j of every element x, in byte slot x
         for j in range(dim):
             run = b"".join(bytes([d]) * p**j for d in range(p))

@@ -122,7 +122,7 @@ def invariant_subspaces(field, mat, d):
         raise BudgetExceeded(
             f"enumerating {total} candidate {d}-subspaces exceeds budget {DEFAULT_ENUM_BUDGET}"
         )
-    elements = list(field.elements())
+    elements, cols = list(field.elements()), list(zip(*mat))  # cols[j]: the image of unit vector j
     out = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)
@@ -138,15 +138,18 @@ def invariant_subspaces(field, mat, d):
         for values in product(elements, repeat=len(free)):
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            if _is_invariant(field, mat, rows, pivots):
+            if _is_invariant(field, cols, rows, pivots):
                 out.append(tuple(tuple(r) for r in rows))
     return out
 
 
-def _is_invariant(field, mat, rows, pivots):
-    for row in rows:
-        image = linalg.reduce_vector(field, linalg.mat_vec(field, mat, row), rows, pivots)
-        if any(c != field.zero for c in image):
+def _is_invariant(field, cols, rows, pivots):
+    for row, p in zip(rows, pivots):
+        image = cols[p]  # the image of an echelon row: its pivot entry is one, the entries before it zero
+        for j in range(p + 1, len(row)):
+            if row[j] != field.zero:
+                image = field.vec_submul(image, field.neg(row[j]), cols[j])
+        if any(c != field.zero for c in linalg.reduce_vector(field, image, rows, pivots)):
             return False
     return True
 

@@ -222,8 +222,11 @@ class UPoly(DensePoly):
             return UPoly.zero(f), self
         if k:
             quot, rem = map(k.unpack, k.divider(k.pack(other.coeffs))(k.pack(self.coeffs)))
-        elif f.size == f.char:
-            quot, rem = _slot_divmod(f.char, self.coeffs, other.coeffs)
+        elif f.size == f.char:  # a slot holds the sum of all quotient terms or, if narrower, p^3
+            p, m = f.char, other.degree
+            s = (min(p**3 - 1, p * p * (self.degree - m + 1)).bit_length() + 7) // 8
+            quot, rem = _slot_divide(p, _pack(p, self.coeffs, s), _pack(p, other.coeffs, s), s)
+            rem = _unpack(p, rem, m, s)
         else:
             quot, rem = _divide(f, self.coeffs, [other.coeffs])
         return UPoly(f, quot), UPoly(f, rem)
@@ -260,14 +263,14 @@ def _digits(x, base, count):
 
 
 # Packed arithmetic over odd p (NTL's zz_pX; over F_2 and F_(2^e), gf2x): coefficients in
-# s-byte slots of one int, converted by bytes and int builtins. Slot sums grow with each
-# product or division step and are taken mod p only before one could carry: whole byte
-# planes by translation tables when s * p < 256 (twice as fast as slot by slot on F_3, F_5).
-# Euclid and Barrett run on these ints (von zur Gathen, Gerhard, Modern Comp. Alg., 9, 14).
+# s-byte slots of one int, converted by bytes and int builtins. Slot sums grow with each product
+# or division step and are taken mod p only before one could carry, when s * p < 256 on the int
+# itself: upper bytes folded onto low bytes by whole-int masks, then one translation table.
+# Euclid and Barrett run on these ints (von zur Gathen, Gerhard, Modern Comp. Alg., 8.4, 9, 14).
 @functools.cache
-def _residues(p, j):
-    """Translation table: byte b to (b * 256^j) mod p."""
-    return bytes((b << 8 * j) % p for b in range(256))
+def _residues(p):
+    """Translation table: byte b to b mod p."""
+    return bytes(b % p for b in range(256))
 
 
 def _pack(p, coeffs, s):
@@ -280,14 +283,30 @@ def _pack(p, coeffs, s):
     return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(s), repeat("little"))), "little")
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(s, length):
+    return int.from_bytes(b"\1".ljust(s, b"\0") * length, "little")
+
+
+def _reduce(p, x, length, s):
+    """x with each of its low `length` s-byte slots taken mod p; if s * p < 256 on the int: upper
+    bytes j folded onto the low byte as 256^j mod p times byte j until none is set, then translated."""
+    if s * p >= 256:
+        return _pack(p, _unpack(p, x, length, s), s)
+    if s > 1:
+        low = 255 * _ones(s, length)
+        while h := x & ~low:
+            x ^= h
+            for j in range(1, s):
+                x += (h >> 8 * j & low) * (256**j % p)
+    return int.from_bytes(x.to_bytes(length * s, "little").translate(_residues(p)), "little")
+
+
 def _unpack(p, x, length, s):
     """The low `length` slots of x, each reduced mod p, without trailing zeros."""
-    raw = x.to_bytes(length * s, "little")
     if s * p < 256:
-        if s > 1:  # sum the byte planes' residues; each sum stays below 256, so no carries
-            planes = (raw[j::s].translate(_residues(p, j)) for j in range(s))
-            raw = sum(map(int.from_bytes, planes, repeat("little"))).to_bytes(length, "little")
-        return raw.translate(_residues(p, 0)).rstrip(b"\0")
+        return _reduce(p, x, length, s).to_bytes(length * s, "little")[::s].rstrip(b"\0")
+    raw = x.to_bytes(length * s, "little")
     cuts = range(0, len(raw) + 1, s)
     slots = map(raw.__getitem__, map(slice, cuts, cuts[1:]))
     out = list(map(p.__rmod__, map(int.from_bytes, slots, repeat("little"))))
@@ -296,38 +315,37 @@ def _unpack(p, x, length, s):
     return out
 
 
-def _slot_divmod(p, a, b):
-    """Quotient and remainder of a by b over odd p (b[-1] nonzero): long division on one
-    packed int, one multiply-add of -b per quotient term. A slot holds the sum of all
-    terms or, if narrower, p^3: room for p terms between reductions mod p."""
-    s = (min(p**3 - 1, p * p * max(1, len(a) - len(b) + 1)).bit_length() + 7) // 8
-    w, m, top = 8 * s, len(b) - 1, 256**s - 1
-    x, quot = _pack(p, a, s), [0] * (len(a) - m)
-    neg = int.from_bytes(p.to_bytes(s, "little") * (m + 1), "little") - _pack(p, b, s)  # p - b_i in slot i
-    inv = pow(b[-1], p - 2, p)
+def _slot_divide(p, x, b, s):
+    """(quotient list, remainder int) of x by b != 0 over odd p on ints of s-byte slots below p: one
+    multiply-add of p - b per quotient term, the slots taken mod p whenever the next could carry."""
+    w, top = 8 * s, 256**s - 1
+    n, m = -(-x.bit_length() // w), (b.bit_length() - 1) // w  # x's slots, b's degree
+    quot, inv = [0] * (n - m), pow(b >> w * m, p - 2, p)
+    neg = p * _ones(s, m + 1) - b  # p - b_i in slot i
     room = left = (256**s - p) // (p * (p - 1))  # terms between reductions: each adds below p(p-1)
-    for shift in range(len(a) - len(b), -1, -1):
+    for shift in range(n - m - 1, -1, -1):
         c = (x >> w * (shift + m) & top) * inv % p  # slots above hold eliminated multiples of p
         if c:
             quot[shift] = c
             x += c * neg << w * shift
             left -= 1
             if not left:
-                x, left = _pack(p, _unpack(p, x, len(a), s), s), room
-    return quot, _unpack(p, x, len(a), s)
+                x, left = _reduce(p, x, n, s), room
+    return quot, _reduce(p, x, n, s)
 
 
 def gcd(a, b):
     """Monic greatest common divisor: Euclid on packed ints over F_2 and the F_(2^e) above
-    it, in packed slots over odd p."""
+    it, and over odd p on ints of slots wide enough for p^3, unpacked once."""
     f, k = a.field, packed(a.field)
     if k:
         return UPoly(f, k.unpack(k.gcd(k.pack(a.coeffs), k.pack(b.coeffs))))
     if f.size == f.char:
-        x, y = a.coeffs, b.coeffs
+        p, s = f.char, ((f.char**3 - 1).bit_length() + 7) // 8
+        x, y = _pack(p, a.coeffs, s), _pack(p, b.coeffs, s)
         while y:
-            x, y = y, _slot_divmod(f.char, x, y)[1]
-        return UPoly(f, x).monic()
+            x, y = y, _slot_divide(p, x, y, s)[1]
+        return UPoly(f, _unpack(p, x, -(-x.bit_length() // (8 * s)), s)).monic()
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
@@ -353,24 +371,13 @@ def _barrett(field, m):
         mod = UPoly(field, m)
         return 0, functools.partial(UPoly, field), lambda u: u.coeffs, lambda u, v: u * v % mod
     s = _width(p, d)
-    mu = _pack(p, _slot_divmod(p, [0] * (2 * d - 2) + [1], m)[0], s)
+    mu = _pack(p, _slot_divide(p, 1 << 8 * s * (2 * d - 2), _pack(p, m, s), s)[0], s)
     neg_m = _pack(p, [-c % p for c in m[:d]], s)  # the low d coefficients of -m
     high, top, low = 8 * s * d, 8 * s * max(d - 2, 0), (1 << 8 * s * d) - 1
-    if s == 1:  # one translation reduces every slot
-        residue = _residues(p, 0)
-
-        def canonical(v, length):
-            return int.from_bytes(v.to_bytes(length, "little").translate(residue), "little")
-
-    else:
-
-        def canonical(v, length):
-            return _pack(p, _unpack(p, v, length, s), s)
-
     def mulmod(u, v):
-        prod = canonical(u * v, 2 * d - 1)
-        quot = canonical((prod >> high) * mu >> top, d - 1)
-        return canonical(prod + quot * neg_m & low, d)
+        prod = _reduce(p, u * v, 2 * d - 1, s)
+        quot = _reduce(p, (prod >> high) * mu >> top, d - 1, s)
+        return _reduce(p, prod + quot * neg_m & low, d, s)
 
     return s, lambda coeffs: _pack(p, coeffs, s), lambda x: _unpack(p, x, d, s), mulmod
 
@@ -445,8 +452,8 @@ def squarefree_decomposition(u):
     return [(poly, mult) for mult, poly in sorted(out.items())]
 
 
-# Degrees whose h_d - y share one gcd with w over an odd prime field. Blocks of
-# 6 to 10 ran the species-prime jobs fastest; 16 ran them slower.
+# Degrees whose h_d - y share one gcd with w over an odd prime field. On the species-prime pool in
+# process, blocks of 8 and 12 ran alike (13.99, 13.76 probe, medians of 12 passes), 4 slower (15.91).
 _BLOCK = 8
 
 

@@ -122,7 +122,8 @@ def remainder(p, a, b):
         c, shift = rem[-1] * inv % p, len(rem) - len(b)
         for i, x in enumerate(b):
             rem[shift + i] = (rem[shift + i] - c * x) % p
-        rem = list(strip(rem))
+        while rem and not rem[-1]:
+            rem.pop()
     return tuple(rem)
 
 
@@ -212,6 +213,10 @@ def test_gcd_matches_plain_euclid(p):
     common = st.tuples(general, general, divisor_lists(size, degree // 2))
     multiples = common.map(lambda t: (product(t[0], t[2]), product(t[1], t[2])))
     pairs = st.one_of(st.tuples(general, general), multiples)
+    # dividing all-(p-1) of this length by (p-1)(1 + y) takes more nonzero quotient terms than
+    # fit between two reductions of gcd's slots, which hold p^3: 42 terms in the one-byte slots
+    # of F_3, 1560 and 240 in the two-byte slots of F_7 and F_17
+    long = {3: 90, 7: 3130, 17: 490}.get(p, degree + 1)
 
     @derandomized
     @given(pairs)
@@ -220,6 +225,8 @@ def test_gcd_matches_plain_euclid(p):
     @example(([top], []))
     @example(([1, 1], [1, 2 % size, 1, 1]))
     @example(([top] * (degree + 1), [top] * degree))
+    @example(([top] * long, [top] * 2))
+    @example(([top] * (long + 1), [top] * 2))
     def check(ab):
         a, b = ab
         got = gcd(UPoly(field, a), UPoly(field, b))
@@ -256,9 +263,13 @@ def test_powmod_matches_plain_square_and_multiply(p):
     check()
 
 
-@pytest.mark.parametrize("p,d", [(3, 63), (3, 64), (7, 7), (7, 8)], ids=["63", "64", "f7-7", "f7-8"])
+BOUNDARIES = [(3, 63), (3, 64), (7, 7), (7, 8), (5, 15), (5, 16), (17, 255), (17, 256)]
+
+
+@pytest.mark.parametrize("p,d", BOUNDARIES, ids=["63", "64", "f7-7", "f7-8", "f5-15", "f5-16", "f17-255", "f17-256"])
 def test_powmod_slot_width_at_its_boundary_over_f3(p, d):
-    # one byte holds d (p-1)^2 through degree 63 over F_3 and degree 7 over F_7; 64 and 8 need two
+    # one byte holds d (p-1)^2 through degree 63 over F_3, 7 over F_7 and 15 over F_5; 64, 8 and 16
+    # need two, which hold it over F_17 through degree 255; 256 needs three (still 3 * 17 < 256)
     field = prime_field(p)
     a, m = [p - 1] * d, [p - 1] * (d + 1)
     for n in (2, 3, 6):
@@ -284,3 +295,21 @@ def test_byte_slot_division_matches_schoolbook(name, skew):
         assert (list(strip(quot)), list(strip(rem))) == ref.skew_divmod(a, b, r)
 
     check()
+
+
+def test_gcd_over_f3_unpacks_once(monkeypatch):
+    # Euclid over odd p keeps every remainder on slot ints: a degree-96 gcd converts slot ints
+    # to coefficients once, at the end
+    import random
+
+    from addpoly import upoly
+
+    rng, field = random.Random(26), prime_field(3)
+    lists = [[rng.randrange(3) for _ in range(n)] + [1] for n in (40, 56, 56)]
+    a, b = (UPoly(field, lists[0]) * UPoly(field, c) for c in lists[1:])
+    assert a.degree == b.degree == 96
+    calls, real = [], upoly._unpack
+    monkeypatch.setattr(upoly, "_unpack", lambda *args: calls.append(args[2]) or real(*args))
+    got = gcd(a, b)
+    assert len(calls) == 1
+    assert got.coeffs == monic_gcd(3, a.coeffs, b.coeffs) and got.degree >= 40
