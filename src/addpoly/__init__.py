@@ -40,12 +40,10 @@ from .latcount import (
     count_chains,
     count_lines,
     count_right_components,
-    depth_counts,
     generating_function,
     mhat,
     ore_criterion_count,
     q_bracket,
-    quotient_species,
 )
 from .oracle import (
     RootSpace,

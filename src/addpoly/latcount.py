@@ -1,14 +1,15 @@
 """Exact counting of invariant subspaces, chains, and right components.
 
-Every count is a closed form over the species: line counts are sums of
-q-brackets, maximal-chain counts a multinomial times per-eigenfactor chain
-counts (a memoized recursion over quotient signatures), and full subspace
-generating functions Birkhoff's count of the submodules of one eigenfactor
-over the field of size r^m, recombined by the z -> z^m substitution and
-polynomial multiplication. All counts are arbitrary-precision integers.
+Every count is read from the species. Line counts are sums of q-brackets,
+and full subspace generating functions Birkhoff's count of the submodules of
+one eigenfactor over the field of size r^m, recombined by the z -> z^m
+substitution and polynomial multiplication. Maximal-chain counts have no
+closed form: they are a multinomial times per-eigenfactor chain counts, each
+a walk over the quotient signatures, admitted against CHAIN_STATE_BUDGET.
+All counts are arbitrary-precision integers.
 """
 
-from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from . import upoly
@@ -17,6 +18,7 @@ from .errors import BudgetExceeded, InputError, InternalInconsistency
 from .frobjordan import rational_jordan_form
 
 MHAT_PARTITION_BUDGET = 1 << 18
+CHAIN_STATE_BUDGET = 1 << 17
 
 
 def q_bracket(n, b):
@@ -37,24 +39,12 @@ def gaussian_binomial(n, d, b):
     return num // den
 
 
-def partitions(m, _max=None):
-    """Unordered partitions of m as weakly decreasing tuples."""
-    if m == 0:
-        yield ()
-        return
-    top = m if _max is None else min(m, _max)
-    for first in range(top, 0, -1):
-        for rest in partitions(m - first, first):
-            yield (first,) + rest
-
-
 def mhat(n, r):
-    """Superset of the achievable counts of exponent-1 right components.
-
-    Built by closing {0} under bracket sums of partitions of every i <= n;
-    values that coincide numerically at this r are merged. The partitions are
-    counted first, by Euler's pentagonal recurrence, and more than
-    MHAT_PARTITION_BUDGET of them raise BudgetExceeded before any is listed.
+    """Superset of the achievable counts of exponent-1 right components: the bracket
+    sums of the partitions of every i <= n. More than MHAT_PARTITION_BUDGET
+    partitions, counted by Euler's pentagonal recurrence, raise BudgetExceeded
+    first. sums[i] adds a part j to each sum over i - j; compositions give the
+    same set as partitions.
     """
     if n < 0:
         raise InputError("n must be nonnegative")
@@ -72,11 +62,11 @@ def mhat(n, r):
             raise BudgetExceeded(
                 f"mhat at n = {n} needs more than {MHAT_PARTITION_BUDGET} partitions"
             )
-    out = {0}
+    brackets = [q_bracket(j, r) for j in range(n + 1)]
+    sums = [{0}]
     for i in range(1, n + 1):
-        for part in partitions(i):
-            out.add(sum(q_bracket(j, r) for j in part))
-    return out
+        sums.append({s + brackets[j] for j in range(1, i + 1) for s in sums[i - j]})
+    return set().union(*sums)
 
 
 def count_lines(species, r):
@@ -144,39 +134,42 @@ def generating_function(species, r):
     return tuple(g)
 
 
-def depth_counts(lam, i, base):
-    """Number of minimal invariant subspaces of depth i: base^(lam_(i+1)+..) * [lam_i]_base."""
-    lam = tuple(lam)
-    if not 1 <= i <= len(lam):
-        raise InputError(f"depth {i} out of range for {lam}")
-    return base ** sum(lam[i:]) * q_bracket(lam[i - 1], base)
+def _sub_signatures(lam):
+    """Number of signatures mu <= lam, the states of the chain walk from lam: the
+    partitions inside the one whose parts are lam's block orders, C(E + k, k) for k
+    blocks of order E. ways[v] counts the choices of the parts so far ending in v."""
+    ways = [0] * len(lam) + [1]
+    for order in range(len(lam), 0, -1):
+        for _ in range(lam[order - 1]):
+            ways = list(accumulate(reversed(ways)))[::-1][: order + 1]
+    return sum(ways)
 
 
-def quotient_species(lam, i):
-    """Signature after quotienting by a depth-i minimal subspace, trailing zeros trimmed."""
-    lam = list(lam)
-    if not 1 <= i <= len(lam) or lam[i - 1] < 1:
-        raise InputError(f"no depth-{i} subspace for signature {lam}")
-    if i == 1:
-        lam[0] -= 1
-    else:
-        lam[i - 2] += 1
-        lam[i - 1] -= 1
-    while lam and lam[-1] == 0:
-        lam.pop()
-    return tuple(lam)
-
-
-@lru_cache(maxsize=None)
 def _chains(lam, base):
-    """Maximal chains of submodules of one eigenfactor of signature lam over GF(base)."""
-    if not lam:
-        return 1
-    return sum(
-        depth_counts(lam, i, base) * _chains(quotient_species(lam, i), base)
-        for i in range(1, len(lam) + 1)
-        if lam[i - 1]
-    )
+    """Maximal chains of submodules of one eigenfactor of signature lam over GF(base).
+
+    A maximal chain quotients by one minimal submodule at a time. Those of
+    depth i number base^(lam_(i+1)+..) [lam_i]_base, and each turns one block
+    of order i into one of order i - 1. The walk carries the chain counts of
+    one layer of quotient signatures, all as long as lam, to the next.
+    """
+    layer = {tuple(lam): 1}
+    for _ in range(sum(j * c for j, c in enumerate(lam, start=1))):
+        below = {}
+        for mu, chains in layer.items():
+            above = 0  # blocks of order > i
+            for i in range(len(mu), 0, -1):
+                c = mu[i - 1]
+                if c:
+                    nu = list(mu)
+                    nu[i - 1] -= 1
+                    if i > 1:
+                        nu[i - 2] += 1
+                    nu = tuple(nu)
+                    below[nu] = below.get(nu, 0) + chains * base**above * q_bracket(c, base)
+                above += c
+        layer = below
+    return layer[(0,) * len(lam)]
 
 
 def count_chains(species, r):
@@ -185,10 +178,13 @@ def count_chains(species, r):
     The lattice is the product of its per-eigenfactor lattices, and a maximal
     chain of a product is a shuffle of maximal chains of the factors. So the
     count is the multinomial (sum l_i)! / prod l_i! of the composition lengths
-    l_i = sum_j j lambda_j, times the chains of each eigenfactor: a memoized
-    recursion that quotients by one minimal submodule at a time, whose count
-    depends on its depth, with bracket base r^m.
+    l_i = sum_j j lambda_j, times the chains of each eigenfactor over GF(r^m).
+    Those have no product formula, so more than CHAIN_STATE_BUDGET states of
+    their walks in all raise BudgetExceeded before any walk.
     """
+    states = sum(_sub_signatures(lam) for _, lam in species)
+    if states > CHAIN_STATE_BUDGET:
+        raise BudgetExceeded(f"count_chains needs {states} sub-signatures, more than {CHAIN_STATE_BUDGET}")
     total, length = 1, 0
     for m, lam in species:
         li = sum(j * c for j, c in enumerate(lam, start=1))

@@ -4,8 +4,10 @@ nullity sequence of one eigenfactor, gcrc by right division at every step and
 the nullity sequence from the powers of u, a separate Ben-Or loop, a per-degree
 distinct-degree loop, a tuple reference field and schoolbook polynomials over it,
 the oracle's root products over every invariant subspace of one dimension, the
-capped order of y modulo a polynomial, and the chain walk's minimal invariant
-subspaces with every point's closure recomputed."""
+capped order of y modulo a polynomial, the chain walk's minimal invariant
+subspaces with every point's closure recomputed, the memoized recursion over
+quotient signatures that counted maximal chains of one eigenfactor, and the
+partitions that mhat's bracket sums run over."""
 
 import functools
 from itertools import product
@@ -21,6 +23,7 @@ from addpoly.additive import (
 )
 from addpoly.errors import BudgetExceeded, InputError, InternalInconsistency, NotInSubfield
 from addpoly.frobjordan import RationalJordanForm, _nullity_sequence
+from addpoly.latcount import q_bracket
 from addpoly.upoly import UPoly
 
 
@@ -556,3 +559,59 @@ def minimal_invariant_subspaces_by_closures(field, mat):
     the projective points that are simple, as a set of tuples of rref rows."""
     closures = {tuple(map(tuple, krylov_closure(field, mat, v)[0])) for v in _normalized_points(field, len(mat))}
     return {c for c in closures if len(c) == 1 or is_simple_by_closures(field, mat, [list(r) for r in c])}
+
+
+def depth_counts(lam, i, base):
+    """Number of minimal invariant subspaces of depth i: base^(lam_(i+1)+..) * [lam_i]_base."""
+    lam = tuple(lam)
+    if not 1 <= i <= len(lam):
+        raise InputError(f"depth {i} out of range for {lam}")
+    return base ** sum(lam[i:]) * q_bracket(lam[i - 1], base)
+
+
+def quotient_species(lam, i):
+    """Signature after quotienting by a depth-i minimal subspace, trailing zeros trimmed."""
+    lam = list(lam)
+    if not 1 <= i <= len(lam) or lam[i - 1] < 1:
+        raise InputError(f"no depth-{i} subspace for signature {lam}")
+    if i == 1:
+        lam[0] -= 1
+    else:
+        lam[i - 2] += 1
+        lam[i - 1] -= 1
+    while lam and lam[-1] == 0:
+        lam.pop()
+    return tuple(lam)
+
+
+@functools.lru_cache(maxsize=None)
+def chains_by_recursion(lam, base):
+    """The reference for latcount._chains: maximal chains of submodules of one eigenfactor
+    of signature lam over GF(base), by memoized recursion over the quotient signatures."""
+    if not lam:
+        return 1
+    return sum(
+        depth_counts(lam, i, base) * chains_by_recursion(quotient_species(lam, i), base)
+        for i in range(1, len(lam) + 1)
+        if lam[i - 1]
+    )
+
+
+def partitions(m, _max=None):
+    """Unordered partitions of m as weakly decreasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    top = m if _max is None else min(m, _max)
+    for first in range(top, 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first,) + rest
+
+
+def signatures(dim):
+    """Every signature of dimension dim: lam_j blocks of order j, sum_j j lam_j = dim."""
+    for part in partitions(dim):
+        lam = [0] * (part[0] if part else 0)
+        for order in part:
+            lam[order - 1] += 1
+        yield tuple(lam)

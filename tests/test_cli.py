@@ -429,6 +429,42 @@ def test_mhat_past_its_partition_budget_is_exit_3(capsys, n):
     assert json.loads(lines[0])["error"]["type"] == "BudgetExceeded"
 
 
+def x_qpow_minus_x_over_f256(order):
+    """x^(q^order) - x over the tower (2, 1, 8): species (1; 8 blocks of order `order`)."""
+    one, zero = [1] + [0] * 7, [0] * 8
+    return json.dumps({"p": 2, "e": 1, "k": 8, "f": {"r_exp": 1, "coeffs": [one] + [zero] * (8 * order - 1) + [one]}})
+
+
+def test_count_on_one_jordan_block_of_order_512(capsys, monkeypatch):
+    # x^(2^1024) + g x over F_4 with g outside F_2: one block of order 512 over y^2 + y + 1
+    code, out = run(capsys, ["count"], stdin=jobspec_f4([[0, 1]] + [[0, 0]] * 1023 + [[1, 0]]), monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["chains"] == 1
+
+
+def test_count_past_the_chain_state_budget_is_exit_3_before_the_walk(capsys, monkeypatch):
+    from addpoly import latcount
+
+    def no_walk(lam, base):
+        raise AssertionError("the chain walk ran past its budget")
+
+    monkeypatch.setattr(latcount, "_chains", no_walk)
+    start = time.perf_counter()
+    code, out = run(capsys, ["count"], stdin=x_qpow_minus_x_over_f256(32), monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+
+
+def test_count_on_eight_blocks_of_order_8(capsys, monkeypatch):
+    code, out = run(capsys, ["count"], stdin=x_qpow_minus_x_over_f256(8), monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["species"] == [[1, [0] * 7 + [8]]]
+
+
 @pytest.mark.parametrize("p,e,k", [(2, 8, 16), (2, 8, 8), (2, 16, 4)])
 def test_tower_past_the_m_q_search_cap_is_exit_3(capsys, monkeypatch, p, e, k):
     # each of these default constructions searched for over 10 s; the cap refuses them at once

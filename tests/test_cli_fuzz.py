@@ -6,7 +6,8 @@ The JobSpecs mix small towers with well-formed polynomials, which reach the towe
 search and the species computation, with wrong types, true where an integer
 belongs, huge degrees, reducible or misshapen construction polynomials, unknown
 fields and deep nesting. verify's JobSpecs add hostile max_ext values, root spaces
-past the extension cap at k > 1 and non-squarefree f. The draws are derandomized
+past the extension cap at k > 1 and non-squarefree f. Species-shaped JobSpecs give
+count many equal blocks or one long block. The draws are derandomized
 (tests/conftest.py).
 """
 
@@ -114,6 +115,31 @@ def run(argv, text):
 )
 def test_every_generated_jobspec_ends_with_one_json_document(argv, job):
     code, out = run(argv, json.dumps(job).replace(json.dumps(DEEP), "[" * 5000 + "0" + "]" * 5000))
+    assert code in (0, 2, 3), out
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert (code == 0) == ("error" not in payload)
+
+
+@st.composite
+def species_shaped(draw):
+    """A JobSpec whose species stresses the chain count: central x^(q^E) - x over (2, 1, k),
+    k blocks of order E when E is a power of 2, or x^(r^n) + g x over (2, 1, 2) with g
+    outside F_r, whose blocks lie over y^2 + y + 1."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 8))
+        order = draw(st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 32)))
+        coeffs = [one(2, 1, k)] + [[0] * k if k > 1 else 0] * (k * order - 1) + [one(2, 1, k)]
+        return {"p": 2, "e": 1, "k": k, "f": {"r_exp": 1, "coeffs": coeffs}}
+    g = draw(st.sampled_from([[0, 1], [1, 1]]))
+    coeffs = [g] + [[0, 0]] * (draw(st.integers(1, 512)) - 1) + [[1, 0]]
+    return {"p": 2, "e": 1, "k": 2, "f": {"r_exp": 1, "coeffs": coeffs}}
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([["count"], ["count", "--d", "1"]]), species_shaped())
+def test_every_species_shaped_count_ends_with_one_json_document(argv, job):
+    code, out = run(argv, json.dumps(job))
     assert code in (0, 2, 3), out
     assert out.endswith("\n") and out.count("\n") == 1
     payload = json.loads(out)

@@ -1,21 +1,25 @@
+import time
+from math import comb
+
 import pytest
 
 from addpoly.additive import AdditivePoly, compose
-from addpoly.errors import InputError
+from addpoly.errors import BudgetExceeded, InputError
 from addpoly.frobjordan import Species, rational_jordan_form
 from addpoly.latcount import (
+    CHAIN_STATE_BUDGET,
+    _chains,
+    _sub_signatures,
     count_chains,
     count_lines,
     count_right_components,
-    depth_counts,
     generating_function,
     mhat,
     ore_criterion_count,
-    partitions,
     q_bracket,
-    quotient_species,
 )
 from corpus import additive, all_monic_squarefree, tower, x_rpow_plus_x
+from helpers import chains_by_recursion, depth_counts, partitions, quotient_species, signatures
 
 T2 = tower(2, 1, 1)
 T4 = tower(2, 1, 2)
@@ -82,6 +86,60 @@ def test_depth_and_quotient():
         quotient_species((0, 2), 1)
 
 
+def box(order, blocks):
+    """The signature of `blocks` Jordan blocks, all of one order."""
+    return (0,) * (order - 1) + (blocks,)
+
+
+def test_chain_walk_equals_the_recursion_up_to_dimension_12():
+    for dim in range(13):
+        for lam in signatures(dim):
+            for base in (2, 3, 4, 9):
+                assert _chains(lam, base) == chains_by_recursion(lam, base), (lam, base)
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_two_blocks_of_one_order(b):
+    # closed forms in b for two blocks of order E over F_b (fitted to counts at several b),
+    # pinned as polynomials rather than taken from the walk or the recursion
+    for order, expected in (
+        (2, (b + 1) * (2 * b + 1)),
+        (3, (b + 1) * (5 * b**2 + 4 * b + 1)),
+        (4, (b + 1) * (14 * b**3 + 14 * b**2 + 6 * b + 1)),
+    ):
+        assert count_chains(Species.make([(1, box(order, 2))]), b) == expected
+
+
+def test_sub_signatures_count_the_states_the_recursion_memoizes():
+    assert _sub_signatures(()) == 1
+    for order in range(1, 10):
+        for blocks in range(6):
+            assert _sub_signatures(box(order, blocks)) == comb(order + blocks, blocks)
+    for dim in range(9):
+        for lam in signatures(dim):
+            chains_by_recursion.cache_clear()
+            chains_by_recursion(lam, 2)
+            assert _sub_signatures(lam) == chains_by_recursion.cache_info().currsize, lam
+
+
+def test_count_chains_refuses_past_its_state_budget_before_walking(monkeypatch):
+    import addpoly.latcount as latcount
+
+    def no_walk(lam, base):
+        raise AssertionError("the walk ran past its budget")
+
+    monkeypatch.setattr(latcount, "_chains", no_walk)
+    # eight blocks of order 16: C(24, 8) = 735471 sub-signatures
+    with pytest.raises(BudgetExceeded, match="735471"):
+        count_chains(Species.make([(1, box(16, 8))]), 2)
+    # the states add up over eigenfactors: one of C(22, 6) is admitted, two are refused
+    assert 2 * comb(22, 6) > CHAIN_STATE_BUDGET >= comb(22, 6)
+    with pytest.raises(BudgetExceeded):
+        count_chains(Species.make([(1, box(16, 6)), (2, box(16, 6))]), 2)
+    monkeypatch.setattr(latcount, "_chains", lambda lam, base: 1)
+    assert count_chains(Species.make([(1, box(16, 6))]), 2) == 1
+
+
 def test_table_dim3_sweep():
     for r in (2, 3):
         for items, lines_fn, chains_fn in TABLE_DIM3:
@@ -133,6 +191,24 @@ def test_partitions_and_mhat():
     assert mhat(0, 2) == {0}
     assert mhat(2, 5) == {0, 1, 2, 6}
     assert mhat(3, 2) == {0, 1, 2, 3, 4, 7}
+
+
+def test_mhat_is_the_set_of_bracket_sums_of_partitions():
+    for r in (2, 3, 4, 8):
+        listed = {0}
+        for n in range(21):
+            listed |= {sum(q_bracket(j, r) for j in part) for part in partitions(n)}
+            assert mhat(n, r) == listed, (n, r)
+
+
+def test_mhat_partition_budget_refuses_from_n_42():
+    assert len(mhat(41, 2)) > 0
+    with pytest.raises(BudgetExceeded):
+        mhat(42, 2)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        mhat(10**9, 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_mhat_contains_all_line_counts_exhaustive():
