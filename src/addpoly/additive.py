@@ -105,7 +105,10 @@ def _twists(tower, coeffs, count):
     if fq.frobs:  # bytes, twist s one translate through x -> x^(r^s) = x^(p^(es))
         b = bytes(coeffs)
         return [b] + [b.translate(fq.frobs[tower.e * s]) for s in range(1, min(count, order))]
-    return [list(coeffs)] + [[fq.pow(c, r**s) for c in coeffs] for s in range(1, min(count, order))]
+    twists = [list(coeffs)]
+    for _ in range(1, min(count, order)):  # twist s is twist s - 1 raised to r
+        twists.append([fq.pow(c, r) for c in twists[-1]])
+    return twists
 
 
 def right_divmod(f, h):

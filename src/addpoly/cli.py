@@ -244,6 +244,22 @@ def parse_args(argv):
     return args
 
 
+def _dumps(payload, pretty):
+    """The output document. A count may have more digits than Python's int-to-str limit, so the
+    limit is lifted for the dump alone; input parsing keeps it, and a too-long integer there is
+    an input error."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: the limit is off, or this Python has none
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if pretty:
+            return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None):
     pretty = False
     try:
@@ -258,11 +274,7 @@ def main(argv=None):
             code = EXIT_BUDGET
         elif isinstance(exc, InternalInconsistency):
             code = EXIT_INTERNAL
-    if pretty:
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(_dumps(payload, pretty) + "\n")
     return code
 
 

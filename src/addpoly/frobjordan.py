@@ -4,7 +4,8 @@ Everything here is computed from the additive polynomial alone: the minimal
 central left component gives the minimal polynomial of the Frobenius, and
 per-eigenfactor kernel dimensions come from gcrc computations, so the root
 space itself (which may live in an enormous extension) is never touched.
-When k = 1 the species is read off one factorization of u_f = sum a_i y^i.
+When deg tau(f*) = n the root space is cyclic and the species is read off the
+factorization of tau(f*) alone; at k = 1, f* = f and tau(f*) = sum a_i y^i.
 """
 
 from dataclasses import dataclass
@@ -127,13 +128,17 @@ def rational_jordan_form(f):
     eigenfactor, peeled one kernel of u at a time (_nullity_sequence), and
     nu_(k+1) is computed even though the sequence stabilizes at k, keeping
     the second-difference formula uniform at j = k.
-    When k = 1 the ring is commutative, f* = f and the root space is the
-    cyclic module F_r[y]/(u_f) (Ore 1933), so nu_j = deg u * min(j, mult).
+    When deg tau(f*) = n the minimal polynomial of the Frobenius is its
+    characteristic polynomial, so the root space is the cyclic module
+    F_r[y]/(tau(f*)) and nu_j = deg u * min(j, mult), with no peel. mclc
+    stops at the first F_r-dependence among x^(q^i) mod f, so degree n
+    certifies that x^(q^0)..x^(q^(n-1)) mod f are independent. At k = 1
+    the ring is commutative and f* = f, so every input is cyclic (Ore 1933).
     """
     if not f.is_monic or not f.is_squarefree or f.exponent < 1:
         raise InputError("input must be monic squarefree of exponent >= 1")
-    cyclic = f.tower.k == 1
-    tau_fstar = central_to_upoly(f if cyclic else minimal_central_left_component(f))
+    tau_fstar = central_to_upoly(f if f.tower.k == 1 else minimal_central_left_component(f))
+    cyclic = tau_fstar.degree == f.exponent
     blocks = []
     nullities = []
     for u, mult in upoly.factor(tau_fstar):

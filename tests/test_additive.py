@@ -80,6 +80,20 @@ def test_compose_associative_sampled():
             assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (2, 1, 256)])
+def test_list_twists_are_the_r_power_frobenius_iterated(shape):
+    # F_81, F_512 and F_(2^256) have no byte tables, so twist s is twist s - 1 raised to r
+    from addpoly.additive import _twists
+
+    tw = tower(*shape)
+    fq, r, order = tw.fq, tw.r, tw.sigma_r_order(tw.fq)
+    assert not fq.frobs
+    rng = random.Random(sum(shape))
+    coeffs = [fq.random(rng) for _ in range(4)]
+    twists = _twists(tw, coeffs, order + 2)  # no more than the order: then they repeat
+    assert twists == [[fq.pow(c, r**s) for c in coeffs] for s in range(order)]
+
+
 def test_right_divmod_examples():
     f, h = additive(T2, 1, 0, 1), additive(T2, 1, 1)
     g, rem = right_divmod(f, h)

@@ -11,6 +11,7 @@ import pytest
 
 from addpoly.cli import COMMANDS, build_parser, main, parse_args
 from addpoly.errors import InputError
+from addpoly.frobjordan import rational_jordan_form
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -78,13 +79,15 @@ def test_species_over_f9_takes_no_list_arithmetic(capsys, monkeypatch):
 def test_species_over_f16_keeps_gcrc_off_right_divmod(capsys, monkeypatch):
     # F_16 has byte-slot tables: gcrc's Euclid divides on packed ints from its first step to its
     # last, and only the peel's quotient divisions (and mclc's final check) call right_divmod;
-    # each eigenfactor of multiplicity mult takes mult + 1 gcrc calls
-    import random
-
+    # each eigenfactor of multiplicity mult takes mult + 1 gcrc calls. Only an f whose root space
+    # is not cyclic peels: x^(r^48) + x is central, tau(f*) = (y^3 + 1)^8 of degree 24 < 48
     from addpoly import additive, frobjordan
+    from addpoly.additive import central_to_upoly, minimal_central_left_component
     from addpoly.ffield import tower_create
-    from helpers import random_additive
+    from corpus import x_rpow_plus_x
 
+    f = x_rpow_plus_x(tower_create(2, 2, 2), 48)
+    assert central_to_upoly(minimal_central_left_component(f)).degree < f.exponent
     depth, gcrcs, divisions = [0], [], []
     gcrc, right_divmod = frobjordan.gcrc, additive.right_divmod
 
@@ -98,12 +101,43 @@ def test_species_over_f16_keeps_gcrc_off_right_divmod(capsys, monkeypatch):
 
     monkeypatch.setattr(frobjordan, "gcrc", counted_gcrc)
     monkeypatch.setattr(additive, "right_divmod", lambda f, h: divisions.append(depth[0]) or right_divmod(f, h))
-    job = {"p": 2, "e": 2, "k": 2, "f": random_additive(tower_create(2, 2, 2), 16, random.Random(0)).to_json()}
+    job = {"p": 2, "e": 2, "k": 2, "f": f.to_json()}
     code, out = run(capsys, ["species"], stdin=json.dumps(job), monkeypatch=monkeypatch)
     assert code == 0
     mults = [mult for _, mult in json.loads(out)["minpoly_factors"]]
     assert max(mults) >= 2 and len(gcrcs) == sum(mult + 1 for mult in mults)
     assert divisions and not any(divisions)  # mclc's check divides, no gcrc step does
+
+
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_species_peels_only_a_root_space_that_is_not_cyclic(capsys, monkeypatch, cyclic):
+    # deg tau(f*) = n makes the root space a cyclic module, whose nullities are read off the
+    # factorization of tau(f*): a random (2,2,2) f of exponent 16 (an eigenfactor of
+    # multiplicity 3) runs no peel and no gcrc; x^(r^48) + x (deg tau(f*) = 24) peels each
+    # eigenfactor with mult + 1 gcrc calls
+    import random
+
+    from addpoly import frobjordan
+    from addpoly.ffield import tower_create
+    from corpus import x_rpow_plus_x
+    from helpers import random_additive
+
+    tw = tower_create(2, 2, 2)
+    f = random_additive(tw, 16, random.Random(0)) if cyclic else x_rpow_plus_x(tw, 48)
+    peels, gcrcs = [], []
+    nullity_sequence, gcrc = frobjordan._nullity_sequence, frobjordan.gcrc
+    monkeypatch.setattr(frobjordan, "_nullity_sequence", lambda *args: peels.append(args) or nullity_sequence(*args))
+    monkeypatch.setattr(frobjordan, "gcrc", lambda *args: gcrcs.append(args) or gcrc(*args))
+    code, out = run(capsys, ["species"], stdin=json.dumps({"p": 2, "e": 2, "k": 2, "f": f.to_json()}), monkeypatch=monkeypatch)
+    assert code == 0
+    factors = json.loads(out)["minpoly_factors"]
+    degree = sum((len(u) - 1) * mult for u, mult in factors)
+    assert max(mult for _, mult in factors) >= 2
+    if cyclic:
+        assert degree == f.exponent and not peels and not gcrcs
+    else:
+        assert degree < f.exponent and len(peels) == len(factors)
+        assert len(gcrcs) == sum(mult + 1 for _, mult in factors)
 
 
 def test_species_malformed_coeffs(capsys, monkeypatch):
@@ -157,6 +191,30 @@ def test_count_all_on_dimension_8_species(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["g"] == [1, 3, 7, 15, 31, 15, 7, 3, 1]
     assert payload["chains"] == 543
+
+
+def test_count_prints_a_chain_count_past_the_int_to_str_limit(capsys, monkeypatch):
+    # x^(2^256) + x over (2,1,256) has 256 blocks of order 1: 257 chain states and a chain
+    # count of 9,903 digits, more than Python's int-to-str limit lets json.dumps write
+    from addpoly.ffield import tower_create
+    from addpoly.latcount import count_chains
+    from corpus import x_rpow_plus_x
+
+    f = x_rpow_plus_x(tower_create(2, 1, 256), 256)
+    job = {"p": 2, "e": 1, "k": 256, "f": f.to_json()}
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, ["count", "--d", "1"], stdin=json.dumps(job), monkeypatch=monkeypatch)
+    assert code == 0 and sys.get_int_max_str_digits() == limit  # restored after the dump
+    lines = out.splitlines()
+    assert len(lines) == 1
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(lines[0])
+        assert len(str(payload["chains"])) == 9903
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert payload["species"] == [[1, [256]]] and payload["g_d"] == 2**256 - 1
+    assert payload["chains"] == count_chains(rational_jordan_form(f).species, 2)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from addpoly import frobjordan
-from addpoly.additive import AdditivePoly, central_to_upoly, minimal_central_left_component
+from addpoly.additive import AdditivePoly, central_to_upoly, compose, minimal_central_left_component
 from addpoly.errors import ExtensionTooLarge, InputError, InternalInconsistency
 from addpoly.frobjordan import (
     RationalJordanForm,
@@ -110,8 +111,10 @@ def test_peel_rejects_a_gcrc_that_is_not_a_right_component(monkeypatch):
     monkeypatch.setattr(frobjordan, "gcrc", lambda h, big_u: h + AdditivePoly.identity(h.tower))
     with pytest.raises(InternalInconsistency, match="not a right component"):
         _nullity_sequence(x_rpow_plus_x(T4, 4), upoly_of(F2, 1, 1), 2)
+    f = x_rpow_plus_x(tower(2, 2, 2), 48)  # a random f of this tower is cyclic and runs no peel
+    assert central_to_upoly(minimal_central_left_component(f)).degree < f.exponent
     with pytest.raises(InternalInconsistency, match="not a right component"):
-        rational_jordan_form(random_additive(tower(2, 2, 2), 16, random.Random(0)))
+        rational_jordan_form(f)
 
 
 def test_lambdas_from_nullities():
@@ -210,3 +213,54 @@ def test_skew_path_agrees_with_the_k1_read_off():
             assert _nullity_sequence(f, u, mult) == closed, (f, u, mult)
         checked += 1
     assert checked == 15 + 80 + 255 + 64
+
+
+def _skew_cases():
+    """Random f, x^(r^n) + x and g o g over every tower of the skew property suites (all k > 1)."""
+    from test_skew_properties import SKEW_TOWERS
+
+    for shape in SKEW_TOWERS:
+        tw = tower(*shape)
+        yield from (random_additive(tw, n, random.Random(seed)) for n in range(1, 9) for seed in range(4))
+        yield from (x_rpow_plus_x(tw, n) for n in range(1, 9))
+        for n, seed in product(range(1, 5), range(2)):
+            g = random_additive(tw, n, random.Random(seed))
+            yield compose(g, g)
+
+
+def test_peel_agrees_with_the_cyclic_read_off_at_k_above_1():
+    # deg tau(f*) = n makes the root space cyclic, and rational_jordan_form reads its nullities
+    # off the factorization of tau(f*); the peel must give the same sequences. Every other f peels.
+    cyclic, repeated, peeled = 0, 0, 0
+    for f in _skew_cases():
+        tau = central_to_upoly(minimal_central_left_component(f))
+        factors = factor(tau)
+        nullities = tuple(tuple(_nullity_sequence(f, u, mult)) for u, mult in factors)
+        assert rational_jordan_form(f).nullities == nullities, f
+        if tau.degree == f.exponent:
+            closed = tuple(tuple(u.degree * min(j, mult) for j in range(mult + 2)) for u, mult in factors)
+            assert nullities == closed, f
+            cyclic += 1
+            repeated += max(mult for _, mult in factors) >= 2
+        else:
+            peeled += 1
+    assert (cyclic, repeated, peeled) == (508, 162, 68)
+
+
+def test_oracle_agrees_on_cyclic_root_spaces_at_k_above_1():
+    checked, long_blocks = 0, 0
+    for shape in ((2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2)):
+        tw = tower(*shape)
+        for n, seed in product(range(1, 5), range(4)):
+            f = random_additive(tw, n, random.Random(seed))
+            if central_to_upoly(minimal_central_left_component(f)).degree < n:
+                continue
+            try:
+                space = root_space(f, max_ext=16 // (tw.e * tw.k))
+            except ExtensionTooLarge:
+                continue
+            form = rational_jordan_form(f)
+            assert species_from_matrix(tw.fr, space.frobenius_matrix) == form.species, f
+            checked += 1
+            long_blocks += max(orders[0] for _, orders in form.blocks) >= 2
+    assert (checked, long_blocks) == (44, 11)
