@@ -121,7 +121,7 @@ def right_divmod(f, h):
     if h.is_zero:
         raise ZeroDivisionError("right division by the zero polynomial")
     tower = f.tower
-    quot, rem = _divide(tower.fq, f.coeffs, _twists(tower, h.coeffs, f.exponent - h.exponent + 1))
+    quot, rem = _divide(tower.fq, f.coeffs, _twists(tower, h.coeffs, f.exponent - h.exponent + 1), tower.r)
     return AdditivePoly(tower, quot), AdditivePoly(tower, rem)
 
 

@@ -2,8 +2,8 @@
 
 One job per invocation, JSON in and JSON out: a JobSpec (field tower plus
 polynomial plus command parameters) arrives via --input FILE or stdin, and
-every exit path prints a single JSON document. Exit codes: 0 success,
-2 input error, 3 budget exceeded, 4 internal inconsistency.
+every exit path prints a single JSON document. Exit codes: 0 success, 2 input
+error, 3 budget exceeded, 4 internal inconsistency or any other exception.
 
 Identical JobSpecs produce byte-identical output.
 """
@@ -267,9 +267,9 @@ def main(argv=None):
         pretty = args.pretty
         f, settings = _load(args)
         payload, code = COMMANDS[args.command][0](f, settings)
-    except AddpolyError as exc:
+    except Exception as exc:  # one that is not an AddpolyError is a bug: exit 4, still one JSON document
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = EXIT_INPUT
+        code = EXIT_INPUT if isinstance(exc, AddpolyError) else EXIT_INTERNAL
         if isinstance(exc, BudgetExceeded):
             code = EXIT_BUDGET
         elif isinstance(exc, InternalInconsistency):

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: InputError -> 2, BudgetExceeded -> 3,
-InternalInconsistency -> 4.
+InternalInconsistency and any exception outside this module -> 4.
 """
 
 

@@ -338,7 +338,7 @@ class ExtensionField:
             if p == 2:  # the ints are the bit masks: a carry-less product, reduced by byte tables
                 self.mul = packed(self).mul
                 return
-            s, pack, unpack, mulmod = upoly._barrett(self.base, self.modulus)
+            s, pack, unpack, mulmod = upoly._barrett(self.base, self.modulus)[:4]
             if s == 1:  # the memoized one-byte slots are the packed ints
                 self.mul = lambda a, b: value(mulmod(slots(a), slots(b)))
             else:

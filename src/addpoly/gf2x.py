@@ -42,12 +42,20 @@ def mask_divmod(b, a):
     return quot, a
 
 
+def mask_mod(b, a):
+    """a mod b != 0 (divisor first): mask_divmod without its quotient."""
+    db = b.bit_length()
+    while (da := a.bit_length()) >= db:
+        a ^= b << da - db
+    return a
+
+
 def mask_gcd(a, b):
     """Euclid on bit masks, shifted xors keeping only remainders."""
     while b:
         db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << a.bit_length() - db
+        while (da := a.bit_length()) >= db:
+            a ^= b << da - db
         a, b = b, a
     return a
 
@@ -59,7 +67,7 @@ def linear_map(cols):
     return lambda x: functools.reduce(xor, map(getitem, tables, x.to_bytes(len(tables), "little")), 0)
 
 
-Packed = collections.namedtuple("Packed", "pack unpack mul divider gcd")
+Packed = collections.namedtuple("Packed", "pack unpack mul divider gcd remainder")
 
 
 @functools.lru_cache(maxsize=64)
@@ -68,7 +76,8 @@ def packed(field):
     bits per coefficient, each group of a carry-less product reduced mod m, up to e = 8 one high
     bit at a time in all groups at once, above group by group through byte tables of
     t^e h -> h t^e mod m built once per field. divider(b): x -> (x // b, x % b), each quotient
-    term c xoring one shifted t^j b per set bit of c, the e multiples built once; gcd(a, b) monic.
+    term c xoring one shifted t^j b per set bit of c, the e multiples built once; remainder(b):
+    x -> x % b, over F_2 without the quotient (mask_mod); gcd(a, b) monic.
     A char-2 level with flat coordinates (ffield's _flat: to, back, the flat level) has the flat
     level's kernel, packed through to and unpacked through back. Other fields have None."""
     if getattr(field, "base", field).size != 2:
@@ -80,7 +89,8 @@ def packed(field):
     m = to_mask(getattr(field, "modulus", (0, 1)))
     e, fold = m.bit_length() - 1, None
     if e == 1:
-        return Packed(to_mask, from_mask, clmul, functools.partial(functools.partial, mask_divmod), mask_gcd)
+        by = functools.partial(functools.partial, functools.partial)  # by(f)(b): x -> f(b, x)
+        return Packed(to_mask, from_mask, clmul, by(mask_divmod), mask_gcd, by(mask_mod))
     w, low, unit = 2 * e - 1, (1 << e) - 1, (1 << 2 * e - 1) - 1
 
     def mul(a, b, x=0):  # a * b + x, x a carry-less product not yet reduced
@@ -129,4 +139,8 @@ def packed(field):
             x = x << w | c
         return x
 
-    return Packed(pack, lambda x: tuple(x >> i & low for i in range(0, x.bit_length(), w)), mul, divider, gcd)
+    def remainder(b):
+        divide = divider(b)
+        return lambda x: divide(x)[1]
+
+    return Packed(pack, lambda x: tuple(x >> i & low for i in range(0, x.bit_length(), w)), mul, divider, gcd, remainder)

@@ -1,24 +1,18 @@
 """Dense polynomials over an explicit finite field: the core shared with F_q[x;r], and F[y].
 
-Coefficients are stored little-endian with a nonzero leading coefficient;
-the zero polynomial is the empty tuple. The indeterminate is written y
-throughout to keep it apart from the skew variable x used elsewhere.
+Coefficients are stored little-endian with a nonzero leading coefficient; the zero polynomial
+is the empty tuple. The indeterminate is written y throughout to keep it apart from the skew
+variable x used elsewhere. The field is any object with the arithmetic protocol used across
+this package (zero/one, add/sub/neg/mul/inv/div/pow, size, char, from_index/to_index,
+elements, encode/decode, scales); see ffield for the concrete implementations.
 
-The field is any object with the small arithmetic protocol used across this
-package (zero/one attributes, add/sub/neg/mul/inv/div/pow, size, char,
-from_index/to_index, elements, encode/decode, scales); see ffield for the concrete
-implementations. Factorization is complete over any such field: squarefree
-decomposition, distinct-degree splitting (stopped at its first factor: Ben-Or),
-random equal-degree splitting from a fixed state, on packed ints over F_p and
-over F_(2^e): (2e-1)-bit groups, reduced by high bits or byte tables (gf2x).
-Over F_2 and the F_(2^e) above it, distinct-degree splitting, Ben-Or's test and
-the construction search keep w, y^(s^d) mod w and each candidate packed from
-start to end and build a UPoly only for what they yield. Over an odd prime
-field, distinct-degree splitting takes one gcd per block of degrees, not one
-per degree: the interval trick of V. Shoup, "A new polynomial factorization
-algorithm and its implementation", J. Symbolic Comput. 20 (1995), after
-J. von zur Gathen and V. Shoup, "Computing Frobenius maps and factoring
-polynomials", Comput. Complexity 2 (1992).
+Factorization is complete over any such field: squarefree decomposition, distinct-degree
+splitting (stopped at its first factor: Ben-Or) and random equal-degree splitting from a fixed
+state. Over F_p and over F_(2^e) (gf2x) the last two keep w, y^(s^d) mod w and every gcd and
+quotient packed and build a UPoly only for what they yield; over an odd prime field one gcd
+serves a block of degrees: the interval trick of V. Shoup, "A new polynomial factorization
+algorithm and its implementation", J. Symbolic Comput. 20 (1995), after J. von zur Gathen and
+V. Shoup, "Computing Frobenius maps and factoring polynomials", Comput. Complexity 2 (1992).
 """
 
 import functools
@@ -108,22 +102,24 @@ def _product(field, a, twists):
     return out
 
 
-def _divide(field, coeffs, twists):
+def _divide(field, coeffs, twists, r=None):
     """(quotient, remainder) coefficient lists of long division by the nonzero b of these
     twists, as in _product: step s subtracts q_s y^s b_s. One twist [b] divides in F[y];
     the r-power twists of h divide on the right in F_q[x; r]. Over a level with byte-slot tables
     (char 2 up to 256 elements, odd p up to 16), _byte_divider."""
-    m, zero = len(twists[0]) - 1, field.zero
+    m, zero, one = len(twists[0]) - 1, field.zero, field.one
     if field.scales:
         quot, rem = _byte_divider(field, list(map(bytes, twists)))(int.from_bytes(bytes(coeffs), "little"))
         return quot.to_bytes(max(len(coeffs) - m, 0), "little"), rem.to_bytes(m, "little")
-    inverses = [field.inv(b[m]) for b in twists]  # b_s's leading coefficient, inverted once
+    inverses = [one if twists[0][m] == one else field.inv(twists[0][m])]  # b's lead, inverted once
+    while inverses[0] != one and len(inverses) < len(twists):  # and twisted: b_s's lead is b's to the r^s
+        inverses.append(field.pow(inverses[-1], r))
     rem = list(coeffs)
     quot = [zero] * (len(rem) - m)
     for s in range(len(quot) - 1, -1, -1):
         top = rem[s + m]
         if top != zero:
-            quot[s] = c = field.mul(top, inverses[s % len(twists)])
+            quot[s] = c = field.mul(top, inverses[s % len(inverses)])
             rem[s : s + m + 1] = field.vec_submul(rem[s : s + m + 1], c, twists[s % len(twists)])
     return quot, rem[:m]
 
@@ -206,12 +202,7 @@ class UPoly(DensePoly):
     def __pow__(self, n):
         if n < 0:
             raise InputError("negative polynomial power")
-        result, base = UPoly.one(self.field), self
-        while n:
-            if n & 1:
-                result = result * base
-            base, n = base * base, n >> 1
-        return result
+        return _power(self, n, UPoly.__mul__) if n else UPoly.one(self.field)
 
     def __divmod__(self, other):
         self._check(other)
@@ -220,13 +211,15 @@ class UPoly(DensePoly):
             raise ZeroDivisionError("division by zero polynomial")
         if self.degree < other.degree:
             return UPoly.zero(f), self
+        if other.degree == 0:  # a constant c: the quotient is self / c
+            return self if other.coeffs[0] == f.one else self.scale(f.inv(other.coeffs[0])), UPoly.zero(f)
         if k:
             quot, rem = map(k.unpack, k.divider(k.pack(other.coeffs))(k.pack(self.coeffs)))
         elif f.size == f.char:  # a slot holds the sum of all quotient terms or, if narrower, p^3
             p, m = f.char, other.degree
             s = (min(p**3 - 1, p * p * (self.degree - m + 1)).bit_length() + 7) // 8
-            quot, rem = _slot_divide(p, _pack(p, self.coeffs, s), _pack(p, other.coeffs, s), s)
-            rem = _unpack(p, rem, m, s)
+            quot = [0] * (self.degree - m + 1)
+            rem = _unpack(p, _slot_divide(p, _pack(p, self.coeffs, s), _pack(p, other.coeffs, s), s, quot), m, s)
         else:
             quot, rem = _divide(f, self.coeffs, [other.coeffs])
         return UPoly(f, quot), UPoly(f, rem)
@@ -288,18 +281,28 @@ def _ones(s, length):
     return int.from_bytes(b"\1".ljust(s, b"\0") * length, "little")
 
 
-def _reduce(p, x, length, s):
-    """x with each of its low `length` s-byte slots taken mod p; if s * p < 256 on the int: upper
+@functools.lru_cache(maxsize=256)
+def _reducer(p, length, s):
+    """x -> x with each of its low `length` s-byte slots taken mod p; if s * p < 256 on the int: upper
     bytes j folded onto the low byte as 256^j mod p times byte j until none is set, then translated."""
     if s * p >= 256:
-        return _pack(p, _unpack(p, x, length, s), s)
-    if s > 1:
-        low = 255 * _ones(s, length)
-        while h := x & ~low:
+        return lambda x: _pack(p, _unpack(p, x, length, s), s)
+    table, size, low = _residues(p), length * s, 255 * _ones(s, length)
+    folds, high = [(8 * j, 256**j % p) for j in range(1, s)], ~low
+
+    def reduce(x):
+        while h := x & high:
             x ^= h
-            for j in range(1, s):
-                x += (h >> 8 * j & low) * (256**j % p)
-    return int.from_bytes(x.to_bytes(length * s, "little").translate(_residues(p)), "little")
+            for j, c in folds:
+                x += (h >> j & low) * c
+        return int.from_bytes(x.to_bytes(size, "little").translate(table), "little")
+
+    return reduce
+
+
+def _reduce(p, x, length, s):
+    """_reducer's map of x, built for `length` rounded up to 16 slots, so that Euclid builds few."""
+    return _reducer(p, -(-length // 16) * 16, s)(x)
 
 
 def _unpack(p, x, length, s):
@@ -315,37 +318,43 @@ def _unpack(p, x, length, s):
     return out
 
 
-def _slot_divide(p, x, b, s):
-    """(quotient list, remainder int) of x by b != 0 over odd p on ints of s-byte slots below p: one
-    multiply-add of p - b per quotient term, the slots taken mod p whenever the next could carry."""
+def _slot_divide(p, x, b, s, quot=None):
+    """The remainder int of x by b != 0 over odd p on ints of s-byte slots below p, p^2 < 256^s, its
+    quotient terms written to the list `quot` if one is given: one multiply-add of p - b per term,
+    the slots taken mod p whenever the next could carry, eliminated top slots dropped."""
     w, top = 8 * s, 256**s - 1
-    n, m = -(-x.bit_length() // w), (b.bit_length() - 1) // w  # x's slots, b's degree
-    quot, inv = [0] * (n - m), pow(b >> w * m, p - 2, p)
-    neg = p * _ones(s, m + 1) - b  # p - b_i in slot i
+    m = (b.bit_length() - 1) // w  # b's degree
+    inv, neg = pow(b >> w * m, p - 2, p), p * _ones(s, m + 1) - b  # p - b_i in slot i
     room = left = (256**s - p) // (p * (p - 1))  # terms between reductions: each adds below p(p-1)
-    for shift in range(n - m - 1, -1, -1):
-        c = (x >> w * (shift + m) & top) * inv % p  # slots above hold eliminated multiples of p
-        if c:
-            quot[shift] = c
+    for shift in range((x.bit_length() - 1) // w - m, -1, -1):
+        if c := (x >> w * (shift + m) & top) * inv % p:  # slots above hold eliminated multiples of p
             x += c * neg << w * shift
             left -= 1
+            if quot is not None:
+                quot[shift] = c
             if not left:
-                x, left = _reduce(p, x, n, s), room
-    return quot, _reduce(p, x, n, s)
+                x, left = _reduce(p, x & (1 << w * (shift + m)) - 1, shift + m, s), room
+    return _reduce(p, x & (1 << w * m) - 1, m, s)
+
+
+def _slot_gcd(p, x, y, s):
+    """The monic gcd of x and y over odd p on ints of s-byte slots below p: Euclid on remainders only."""
+    while y:
+        x, y = y, _slot_divide(p, x, y, s)
+    m = (x.bit_length() - 1) // (8 * s)
+    return _reduce(p, x * pow(x >> 8 * s * m, p - 2, p), m + 1, s) if x else 0
 
 
 def gcd(a, b):
     """Monic greatest common divisor: Euclid on packed ints over F_2 and the F_(2^e) above
-    it, and over odd p on ints of slots wide enough for p^3, unpacked once."""
+    it, and over odd p on ints of slots wide enough for p^3 (_slot_gcd), unpacked once."""
     f, k = a.field, packed(a.field)
     if k:
         return UPoly(f, k.unpack(k.gcd(k.pack(a.coeffs), k.pack(b.coeffs))))
     if f.size == f.char:
         p, s = f.char, ((f.char**3 - 1).bit_length() + 7) // 8
-        x, y = _pack(p, a.coeffs, s), _pack(p, b.coeffs, s)
-        while y:
-            x, y = y, _slot_divide(p, x, y, s)[1]
-        return UPoly(f, _unpack(p, x, -(-x.bit_length() // (8 * s)), s)).monic()
+        x = _slot_gcd(p, _pack(p, a.coeffs, s), _pack(p, b.coeffs, s), s)
+        return UPoly(f, _unpack(p, x, -(-x.bit_length() // (8 * s)), s))
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
@@ -358,45 +367,50 @@ def _width(p, terms):
 
 @functools.lru_cache(maxsize=64)
 def _barrett(field, m):
-    """(s, pack, unpack, mulmod): products mod m, of degree d over `field`, on packed ints of
-    degree < d: gf2x.packed's over F_2 and above (s = 0), UPolys over other non-prime fields,
-    over odd p s-byte slots reduced by Barrett's method: the quotient of a product by m is the
-    top of (high half) * (y^(2d-2) // m), built once per modulus. The three products sum at
-    most d terms below (p-1)^2 per slot, the last adding a residue below p to d-1 of them."""
+    """(s, pack, unpack, mulmod, minus, gcd, exact) on polynomials over `field`, packed: gf2x's ints over
+    F_2 and above, UPolys over other non-prime fields (s = 0 for both), ints of s-byte slots over odd p.
+    mulmod is the product mod m, of degree d, of u, v of degree < d; over odd p by Barrett's method: the
+    quotient of a product by m is the top of (high half) * (y^(2d-2) // m), built once per modulus, and the
+    three products sum at most d terms below (p-1)^2 per slot, the last adding a residue below p to d-1 of
+    them. minus(x, i) = x - y^i (one slot add over odd p), the monic gcd and exact(a, b), the quotient of an
+    exact division (_slot_gcd, _slot_divide over odd p), serve factoring; gf2x's have no minus or exact."""
     d, p, k = len(m) - 1, field.char, packed(field)
     if k:
-        divide, mul = k.divider(k.pack(m)), k.mul
-        return 0, k.pack, k.unpack, lambda u, v: divide(mul(u, v))[1]
+        rem, mul = k.remainder(k.pack(m)), k.mul
+        return 0, k.pack, k.unpack, lambda u, v: rem(mul(u, v)), None, k.gcd, None
     if field.size != p:
-        mod = UPoly(field, m)
-        return 0, functools.partial(UPoly, field), lambda u: u.coeffs, lambda u, v: u * v % mod
-    s = _width(p, d)
-    mu = _pack(p, _slot_divide(p, 1 << 8 * s * (2 * d - 2), _pack(p, m, s), s)[0], s)
-    neg_m = _pack(p, [-c % p for c in m[:d]], s)  # the low d coefficients of -m
-    high, top, low = 8 * s * d, 8 * s * max(d - 2, 0), (1 << 8 * s * d) - 1
+        mod, one = UPoly(field, m), UPoly.one(field)
+        return (0, functools.partial(UPoly, field), lambda u: u.coeffs, lambda u, v: u * v % mod,
+                lambda u, i: u - one.shift(i), gcd, UPoly.__floordiv__)
+    w = 8 * (s := _width(p, d))
+    high, top, low = w * d, w * max(d - 2, 0), (1 << w * d) - 1
+    _slot_divide(p, 1 << w * (2 * d - 2), _pack(p, m, s), s, mu := [0] * (d - 1))  # y^(2d-2) // m
+    mu, neg_m = _pack(p, mu, s), _pack(p, [-c % p for c in m[:d]], s)  # and the low d coefficients of -m
+    wide, short, full = (_reducer(p, n, s) for n in (2 * d - 1, d - 1, d))
+
     def mulmod(u, v):
-        prod = _reduce(p, u * v, 2 * d - 1, s)
-        quot = _reduce(p, (prod >> high) * mu >> top, d - 1, s)
-        return _reduce(p, prod + quot * neg_m & low, d, s)
+        prod = wide(u * v)
+        return full(prod + short((prod >> high) * mu >> top) * neg_m & low)
 
-    return s, lambda coeffs: _pack(p, coeffs, s), lambda x: _unpack(p, x, d, s), mulmod
+    def exact(a, b):
+        _slot_divide(p, a, b, s, quot := [0] * (a.bit_length() // w + 1))
+        return _pack(p, quot, s)
+
+    def minus(x, i):
+        return x - (1 << w * i) if x >> w * i & 256**s - 1 else x + (p - 1 << w * i)
+
+    return (s, functools.partial(_pack, p, s=s), lambda x: _unpack(p, x, -(-x.bit_length() // w), s), mulmod,
+            minus, lambda a, b: _slot_gcd(p, a, b, s), exact)
 
 
-def powmod(base, n, mod):
-    """base^n mod `mod` by square and multiply, left to right; n may be a big integer.
-    Each product is _barrett's, and the powers stay packed."""
-    if mod.degree < 1:
-        raise InputError("modulus must have degree >= 1")
-    f = base.field
-    if n == 0:
-        return UPoly.one(f)
-    _, pack, unpack, mulmod = _barrett(f, mod.coeffs)
-    result = x = pack((base % mod).coeffs)
+def _power(x, n, mulmod):
+    """x^n for n >= 1 by square and multiply, left to right, each product mulmod's."""
+    result = x
     for bit in bin(n)[3:]:
         result = mulmod(result, result)
         if bit == "1":
             result = mulmod(result, x)
-    return UPoly(f, unpack(result))
+    return result
 
 
 def random_upoly(field, degree, rng, monic=True):
@@ -441,7 +455,7 @@ def squarefree_decomposition(u):
         c = gcd(v, dv)
         w, i = v // c, 1
         while w.degree > 0:
-            y_ = gcd(w, c)
+            y_ = gcd(w, c) if c.degree > 0 else c
             if (part := w // y_).degree > 0:
                 out[mult * i] = out[mult * i] * part if mult * i in out else part
             w, c, i = y_, c // y_, i + 1
@@ -452,69 +466,64 @@ def squarefree_decomposition(u):
     return [(poly, mult) for mult, poly in sorted(out.items())]
 
 
-# Degrees whose h_d - y share one gcd with w over an odd prime field. On the species-prime pool in
-# process, blocks of 8 and 12 ran alike (13.99, 13.76 probe, medians of 12 passes), 4 slower (15.91).
-_BLOCK = 8
+# Degrees whose h_d - y share one gcd with w over an odd prime field. On species-prime's 27 odd-p inputs, blocks
+# of 4, 8, 12 and 16 took 42.0, 35.6, 33.1 and 34.0 ms in process (per-input minima of 15 interleaved passes).
+_BLOCK = 12
 
 
 def _distinct_degree(w, batched=True):
     """Yield (product, factor degree) pairs of a monic squarefree polynomial, lowest degree first.
 
-    h_d = y^(s^d) mod w; over F_2 and the F_(2^e) above it, _packed_distinct_degree. Over an
-    odd prime field, when `batched`, the h_d - y of _BLOCK consecutive degrees are multiplied
-    mod w and share one gcd with w, which is split by degree only when nontrivial. Elsewhere
-    each degree takes its own gcd, so a caller that stops at the first pair pays for one."""
+    h_d = y^(s^d) mod w: over F_2 and the F_(2^e) above it _packed_distinct_degree; elsewhere w, h_d, h_d - y and
+    every gcd and quotient are _barrett's packed residues. Over an odd prime field, when `batched`, the h_d - y of
+    _BLOCK consecutive degrees share one gcd with w by their product mod w, split by degree only when nontrivial;
+    else each degree takes its own, so a caller that stops at the first pair pays for one."""
     field = w.field
     if k := packed(field):
         for part, d in _packed_distinct_degree(field, k.pack(w.coeffs)):
             yield UPoly(field, k.unpack(part)), d
         return
-    s = field.size
-    block = _BLOCK if batched and s == field.char else 1
-    y = UPoly.y(field)
-    h, d = y, 0
-    while w.degree >= 2 * (d + 1):
-        top = min(d + block, w.degree // 2)
-        diffs = []
-        for _ in range(d, top):
-            h = powmod(h, s, w)
-            diffs.append(h - y)
-        prod = diffs[0]
-        if len(diffs) > 1:
-            _, pack, unpack, mulmod = _barrett(field, w.coeffs)
-            prod = UPoly(field, unpack(functools.reduce(mulmod, (pack(u.coeffs) for u in diffs))))
-        g = gcd(prod, w)
-        for j, diff in enumerate(diffs, d + 1):
-            # the factors left in g have degrees j..top, so g has one of degree j only
-            # if the rest of its degree is a sum of such degrees
-            rest = g.degree - j
-            if rest < 0 or -(-rest // top) * j > rest:
-                continue
-            part = g if j == top or rest == 0 else gcd(diff, g)
-            if part.degree > 0:
-                yield part, j
-                w, g = w // part, g // part
-        d = top
+    size, h, d = field.size, UPoly.y(field), 0
+    block = _BLOCK if batched and size == field.char else 1
+    while w.degree >= 2 * (d + 1):  # once per w: a block that splits w ends the inner loop
+        _, pack, unpack, mulmod, minus, euclid, exact = _barrett(field, w.coeffs)
+        x, wx, split = pack((h % w).coeffs), pack(w.coeffs), False
+        while not split and w.degree >= 2 * (d + 1):
+            top = min(d + block, w.degree // 2)
+            diffs = [minus(x := _power(x, size, mulmod), 1) for _ in range(d, top)]  # h_j - y, x = h_j
+            g = euclid(wx, functools.reduce(mulmod, diffs))
+            for j, diff in enumerate(diffs, d + 1):
+                # the factors left in g have degrees j..top, so g has one of degree j only
+                # if the rest of its degree is a sum of such degrees
+                rest = len(unpack(g)) - 1 - j
+                if rest < 0 or -(-rest // top) * j > rest:
+                    continue
+                part = g if j == top or rest == 0 else euclid(g, diff)
+                if len(coeffs := unpack(part)) > 1:
+                    yield UPoly(field, coeffs), j
+                    wx, g, split = exact(wx, part), exact(g, part), True
+            d = top
+        w, h = UPoly(field, unpack(wx)), UPoly(field, unpack(x))
     if w.degree > 0:
         yield w, w.degree
 
 
 def _packed_distinct_degree(field, w):
-    """_distinct_degree's pairs of w on gf2x.packed ints, one Euclid per degree: h = y^(2^(ed))
-    mod w takes e squarings per degree, reduced by one divider of w, rebuilt when w shrinks."""
+    """_distinct_degree's pairs of w on gf2x.packed ints, one Euclid per degree: h = y^(2^(ed)) mod w
+    takes e squarings per degree, reduced by one remainder map of w, rebuilt when w shrinks."""
     k, e, d = packed(field), field.size.bit_length() - 1, 0
-    bits, divide = 2 * e - 1, k.divider(w)  # bits per coefficient
+    bits, rem = 2 * e - 1, k.remainder(w)  # bits per coefficient
     h = y = 1 << bits
     while w.bit_length() > 2 * (d + 1) * bits:  # deg w >= 2(d + 1)
         d += 1
         for _ in range(e):
-            h = divide(k.mul(h, h))[1]
+            h = rem(k.mul(h, h))
         part = k.gcd(w, h ^ y)
         if part.bit_length() > bits:
             yield part, d
             w = k.divider(part)(w)[0]
-            divide = k.divider(w)
-            h = divide(h)[1]
+            rem = k.remainder(w)
+            h = rem(h)
     if w.bit_length() > bits:
         yield w, (w.bit_length() - 1) // bits
 
@@ -531,20 +540,17 @@ def _equal_degree(g, d, rng):
         raise InternalInconsistency(f"a part of degree {g.degree} is no product of degree-{d} factors")
     if g.degree == d:
         return [g]
-    s = field.size
+    size, (_, pack, unpack, mulmod, minus, euclid, _) = field.size, _barrett(field, g.coeffs)
     for _ in range(_SPLIT_TRIES):
-        a = random_upoly(field, rng.randrange(1, g.degree), rng, monic=False)
+        t = a = pack(random_upoly(field, rng.randrange(1, g.degree), rng, monic=False).coeffs)  # below deg g
         if field.char == 2:  # the trace of a, summed on packed ints: addition is xor on gf2x's
-            m, plus = s.bit_length() - 1, xor if packed(field) else add  # s = 2^m
-            _, pack, unpack, mulmod = _barrett(field, g.coeffs)
-            t = cur = pack((a % g).coeffs)
+            m, plus = size.bit_length() - 1, xor if packed(field) else add  # size = 2^m
             for _ in range(m * d - 1):
-                cur = mulmod(cur, cur)
-                t = plus(t, cur)
-            c = gcd(UPoly(field, unpack(t)), g)
-        else:
-            b = powmod(a, (s**d - 1) // 2, g)
-            c = gcd(b - UPoly.one(field), g)
+                a = mulmod(a, a)
+                t = plus(t, a)
+        else:  # a^((s^d - 1)/2) - 1
+            t = minus(_power(a, (size**d - 1) // 2, mulmod), 0)
+        c = UPoly(field, unpack(euclid(pack(g.coeffs), t)))  # on packed ints to the end
         if 0 < c.degree < g.degree:
             return _equal_degree(c, d, rng) + _equal_degree(g // c, d, rng)
     raise InternalInconsistency(f"no split of a part of degree {g.degree} into degree-{d} factors")

@@ -2,7 +2,8 @@
 additive polynomials, explicit matrices realizing a species, the checked
 nullity sequence of one eigenfactor, gcrc by right division at every step and
 the nullity sequence from the powers of u, a separate Ben-Or loop, a per-degree
-distinct-degree loop, a tuple reference field and schoolbook polynomials over it,
+distinct-degree loop and the modular power they take on upoly's packed
+products, a tuple reference field and schoolbook polynomials over it,
 the oracle's root products over every invariant subspace of one dimension, the
 capped order of y modulo a polynomial, the chain walk's minimal invariant
 subspaces with every point's closure recomputed, the memoized recursion over
@@ -202,6 +203,17 @@ def block_matrix(form):
     return mat
 
 
+def powmod(base, n, mod):
+    """base^n mod `mod` by upoly._power on upoly._barrett's packed residues, the products
+    that factoring runs on; n may be a big integer."""
+    if mod.degree < 1:
+        raise InputError("modulus must have degree >= 1")
+    if n == 0:
+        return UPoly.one(base.field)
+    pack, unpack, mulmod = upoly._barrett(base.field, mod.coeffs)[1:4]
+    return UPoly(base.field, unpack(upoly._power(pack((base % mod).coeffs), n, mulmod)))
+
+
 def ben_or_is_irreducible(u):
     """Ben-Or's irreducibility test as a loop of its own, the reference for
     upoly.is_irreducible: u of degree m is irreducible iff
@@ -210,7 +222,7 @@ def ben_or_is_irreducible(u):
     yy = UPoly.y(field) % u
     h = yy
     for _ in range(u.degree // 2):
-        h = upoly.powmod(h, field.size, u)
+        h = powmod(h, field.size, u)
         if upoly.gcd(h - yy, u).degree != 0:
             return False
     return True
@@ -252,7 +264,7 @@ def per_degree_distinct_degree(w):
     d = 0
     while w.degree >= 2 * (d + 1):
         d += 1
-        h = upoly.powmod(h, field.size, w)
+        h = powmod(h, field.size, w)
         g = upoly.gcd(h - UPoly.y(field) % w, w)
         if g.degree > 0:
             yield g, d

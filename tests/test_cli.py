@@ -392,6 +392,19 @@ def test_output_is_json_on_flag_errors(capsys):
     json.loads(out)  # still a JSON document
 
 
+def test_an_exception_outside_the_package_errors_is_exit_4_with_one_json_line(capsys, monkeypatch):
+    # a bug that raises something other than an AddpolyError ends like an internal inconsistency:
+    # exit 4 and one JSON document naming the exception's class, never a traceback
+    def command(f, settings):
+        raise ZeroDivisionError("a command divided by zero")
+
+    monkeypatch.setitem(COMMANDS, "species", (command, *COMMANDS["species"][1:]))
+    code, out = run(capsys, ["species"], stdin=jobspec_f4(X4_PLUS_X), monkeypatch=monkeypatch)
+    assert code == 4
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": {"type": "ZeroDivisionError", "message": "a command divided by zero"}}
+
+
 @pytest.mark.parametrize(
     "argv, stdin, code",
     [

@@ -73,9 +73,44 @@ def test_batched_distinct_degree_yields_the_per_degree_pairs(p):
     @example([1, 2, B + 3, B + 4], 0, 4)  # the short last block after factors in the first
     @example([], 0, 5)  # a cofactor of degree 0: nothing to split
     @example([B - 1, B - 1, B, B], 0, 6)  # two factors each of two degrees in one block
+    @example([1, 2, 3], 2 * B, 7)  # w splits three times in the first block, the loop goes on after it
+    @example([2, 2, B], 2 * B + 1, 8)  # two factors of one degree, one at the block's end, then more
     def check(degrees, cofactor_degree, seed):
         w = planted(field, degrees, cofactor_degree, seed)
         assert list(upoly._distinct_degree(w)) == list(per_degree_distinct_degree(w))
+
+    check()
+
+
+WIDE_PRIME = 2**31 - 1  # slots too wide to fold on the int: each reduction cuts the slots apart
+
+
+def test_distinct_degree_over_a_prime_with_wide_slots():
+    field = prime_field(WIDE_PRIME)
+
+    @settings(max_examples=8)
+    @given(st.lists(st.integers(1, 4), max_size=3), st.integers(0, 6), st.integers(0, 2**32))
+    @example([1, 1, 2], 4, 9)  # two linear factors found at once, then a split at degree 2
+    @example([], 0, 10)
+    def check(degrees, cofactor_degree, seed):
+        w = planted(field, degrees, cofactor_degree, seed)
+        assert list(upoly._distinct_degree(w)) == list(per_degree_distinct_degree(w))
+
+    check()
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES + (WIDE_PRIME,))
+def test_is_irreducible_agrees_with_the_reference_ben_or_loop(p):
+    # Ben-Or is the same loop with blocks of one degree: irreducible, reducible and non-squarefree u
+    field = prime_field(p)
+
+    @settings(max_examples=15)
+    @given(st.integers(1, 12 if p < WIDE_PRIME else 5), st.integers(0, 2), st.integers(0, 2**32))
+    def check(degree, squared_degree, seed):
+        rng = random.Random(seed)
+        square = random_upoly(field, squared_degree, rng)
+        u = random_upoly(field, degree, rng) * square * square
+        assert upoly.is_irreducible(u) == ben_or_is_irreducible(u)
 
     check()
 
@@ -168,17 +203,19 @@ def test_species_dimension_is_the_exponent(tw):
     "u, degrees, bound",
     [
         # factors of degrees 7, 39 and 50: one gcd per degree made 41 calls, one
-        # per block of degrees makes 10
+        # per block of degrees makes 8
         (random_upoly(prime_field(3), 96, random.Random(0)), [7, 39, 50], 16),
-        # y^64 + 1, two factors of degree 32 in one block: 36 calls per degree, 15
-        # if the split tried every degree of that block, 8 when it tries only 32
+        # y^64 + 1, two factors of degree 32 in one block (25..32): 36 calls per degree,
+        # more than 10 if the split tried every degree of that block, 6 when it tries only 32
         (UPoly(prime_field(5), [1] + [0] * 63 + [1]), [32, 32], 10),
     ],
     ids=["random-f3", "y64+1-f5"],
 )
 def test_factor_batches_its_euclid_calls(monkeypatch, u, degrees, bound):
+    # every Euclid over odd p, the squarefree split's, distinct- and equal-degree splitting's, is one
+    # _slot_gcd on slot ints
     calls = []
-    gcd = upoly.gcd
-    monkeypatch.setattr(upoly, "gcd", lambda a, b: calls.append(b.degree) or gcd(a, b))
+    slot_gcd = upoly._slot_gcd
+    monkeypatch.setattr(upoly, "_slot_gcd", lambda *args: calls.append(args) or slot_gcd(*args))
     assert sorted(irr.degree for irr, _ in factor(u)) == degrees
     assert len(calls) <= bound

@@ -11,13 +11,12 @@ from addpoly.upoly import (
     gcd,
     irreducible_polynomial,
     is_irreducible,
-    powmod,
     random_upoly,
     roots,
     squarefree_decomposition,
 )
 from corpus import tower
-from helpers import ben_or_is_irreducible
+from helpers import ben_or_is_irreducible, powmod
 
 
 def upoly(tw_field, *idxs):

@@ -18,9 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addpoly.ffield import prime_field
-from addpoly.upoly import UPoly, _divide, gcd, powmod
+from addpoly.gf2x import mask_divmod, mask_mod
+from addpoly.upoly import UPoly, _divide, gcd
 from corpus import tower
-from helpers import ReferencePolys, tuple_reference
+from helpers import ReferencePolys, powmod, tuple_reference
 
 PRIMES = (2, 3, 5, 2**31 - 1)
 # F_q of these towers (p, e, k), or its extension of degree E (p, e, k, E): F_4, F_9, F_16
@@ -295,6 +296,15 @@ def test_byte_slot_division_matches_schoolbook(name, skew):
         assert (list(strip(quot)), list(strip(rem))) == ref.skew_divmod(a, b, r)
 
     check()
+
+
+@derandomized
+@given(st.integers(1, 1 << 300), st.integers(0, 1 << 600))
+@example(1, 0)
+@example(1, (1 << 600) - 1)  # every bit a quotient term
+@example(0b111, 0b11)  # shorter than the divisor
+def test_mask_mod_is_the_remainder_of_mask_divmod(b, a):
+    assert mask_mod(b, a) == mask_divmod(b, a)[1]
 
 
 def test_gcd_over_f3_unpacks_once(monkeypatch):
