@@ -7,7 +7,9 @@ base-p digits are its F_p coordinates: a level of degree m over a base of
 size s stores sum d_i y^i as sum d_i s^i, so F_r's digits nest under F_q's
 and F_q's under F_q^E's. Embedding a level into the next is the identity,
 F_r is the set of F_q elements below r, and equality is plain ==. If e == 1
-the r-level *is* the prime field.
+the r-level *is* the prime field. PrimeField and ExtensionField share what
+follows from that in their base _Level: zero, one, div, from_int, the index
+maps (each int is its own index), elements and the GF(size) repr.
 
 Levels of at most TABLE_SIZE elements multiply by log/antilog tables, built
 with the level and kept on the field object, and add by Zech logarithms when
@@ -145,20 +147,46 @@ def encoding_shape(obj, degree):
     return obj
 
 
-class PrimeField:
+class _Level:
+    """What every level shares: its elements are the ints in [0, size), each its own index,
+    and its byte-slot tables (_use_bytes) are None unless the level has them."""
+
+    def __init__(self, size, char, dim):
+        # instance attributes: CPython 3.11 reads them 3x as fast as class ones (the oracle's loops)
+        self.size, self.char, self.dim = size, char, dim  # dim: the number of F_p digits
+        self.zero, self.one = 0, 1
+        self.scales = self.frobs = self.diffs = None
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def from_int(self, i):
+        return i % self.char
+
+    def to_index(self, a):
+        return a
+
+    def from_index(self, i):
+        if not 0 <= i < self.size:
+            raise InputError(f"index {i} out of range for field of size {self.size}")
+        return i
+
+    def elements(self):
+        return range(self.size)
+
+    def __repr__(self):
+        return f"GF({self.size})"
+
+
+class PrimeField(_Level):
     """F_p with elements represented as integers in [0, p)."""
 
     def __init__(self, p):
         if not is_prime(p):
             raise InputError(f"p = {p} is not prime")
+        super().__init__(p, p, 1)
         self.p = p
-        self.size = p
-        self.char = p
-        self.dim = 1
-        self.zero = 0
-        self.one = 1
-        self.scales = self.frobs = self.diffs = None  # byte-slot tables, for F_3 to F_13
-        if 2 < p < 16:  # the powers of p's least primitive root
+        if 2 < p < 16:  # byte-slot tables from the powers of p's least primitive root
             _use_bytes(self, bytes(pow({3: 2, 5: 2, 7: 3, 11: 2, 13: 2}[p], i, p) for i in range(p - 1)))
 
     def add(self, a, b):
@@ -178,9 +206,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         n = int(n)
         if n < 0:
@@ -189,20 +214,6 @@ class PrimeField:
 
     def random(self, rng):
         return rng.randrange(self.p)
-
-    def from_int(self, i):
-        return i % self.p
-
-    def to_index(self, a):
-        return a
-
-    def from_index(self, i):
-        if not 0 <= i < self.p:
-            raise InputError(f"index {i} out of range for field of size {self.p}")
-        return i
-
-    def elements(self):
-        return range(self.p)
 
     def encode(self, a):
         return a
@@ -217,11 +228,8 @@ class PrimeField:
         p = self.p
         return [(a - c * b) % p for a, b in zip(u, v)]
 
-    def __repr__(self):
-        return f"GF({self.p})"
 
-
-class ExtensionField:
+class ExtensionField(_Level):
     """Degree-m extension base[y]/(modulus) whose elements are ints in [0, size).
 
     sum d_i y^i is the int sum d_i s^i, s = base.size. A new level builds its
@@ -237,10 +245,8 @@ class ExtensionField:
         self.base = base
         self.modulus = modulus
         self.degree = len(modulus) - 1
-        self.size = base.size**self.degree
-        self.char = p = base.char
-        self.dim = base.dim * self.degree  # number of F_p digits
-        self.zero, self.one = 0, 1
+        super().__init__(base.size**self.degree, base.char, base.dim * self.degree)
+        p = self.char
         # dim * (p-1)^2 < 256 lets _use_tables hold F_p digits in byte slots
         self._small = self.size <= TABLE_SIZE and self.dim * (p - 1) ** 2 < 256
         if p == 2:
@@ -249,7 +255,6 @@ class ExtensionField:
         elif p > 36:
             self.add, self.sub = self._add_digits, partial(self._add_digits, sign=-1)
             self.neg = partial(self._add_digits, 0, sign=-1)
-        self.scales = self.frobs = self.diffs = None  # byte-slot tables, up to 256 elements over char 2, 16 over odd p
         self._use_tables() if self._small else self._use_flat()
 
     def _times(self, a, g):
@@ -268,12 +273,7 @@ class ExtensionField:
         n = int(n)
         if n < 0:
             a, n = self._inv_poly(a), -n
-        result = a if n else 1
-        for bit in bin(n)[3:]:  # left to right below the top bit: no product by 1, no square past it
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
+        return upoly._power(a, n, self.mul) if n else 1
 
     def _inv_poly(self, a):
         if not a:
@@ -455,26 +455,9 @@ class ExtensionField:
         if q <= (256 if p == 2 else 16):
             _use_bytes(self, bytes(exp[:q1].tolist()))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def random(self, rng):
         s = self.base.size
         return sum(self.base.random(rng) * s**i for i in range(self.degree))
-
-    def from_int(self, i):
-        return i % self.char
-
-    def to_index(self, a):
-        return a
-
-    def from_index(self, i):
-        if not 0 <= i < self.size:
-            raise InputError(f"index {i} out of range for field of size {self.size}")
-        return i
-
-    def elements(self):
-        return range(self.size)
 
     def encode(self, a):
         return [self.base.encode(c) for c in _digits(a, self.base.size, self.degree)]
@@ -489,19 +472,21 @@ class ExtensionField:
         sub, mul = self.sub, self.mul
         return [sub(a, mul(c, b)) for a, b in zip(u, v)]
 
-    def __repr__(self):
-        return f"GF({self.size})"
-
 
 class FieldTower:
-    """The chain F_p <= F_r <= F_q with explicit construction polynomials.
+    """The chain F_p <= F_r = F_(p^e) <= F_q = F_(r^k), built deterministically.
 
-    Immutable after creation; every operation is a pure function of its
-    inputs, so a tower can be shared freely across concurrent tasks.
+    Without overrides each construction polynomial is the lexicographically
+    smallest monic irreducible of its degree; overrides are validated for
+    degree, monicity and irreducibility. Immutable after creation; every
+    operation is a pure function of its inputs, so a tower can be shared
+    freely across concurrent tasks.
     """
 
     def __init__(self, p, e, k, m_r=None, m_q=None):
-        if not isinstance(e, int) or not isinstance(k, int) or e < 1 or k < 1:
+        if type(p) is not int:
+            raise InputError(f"p must be an integer, got {p!r}")
+        if type(e) is not int or type(k) is not int or e < 1 or k < 1:
             raise InputError("extension degrees e and k must be positive integers")
         self.p = p
         self.e = e
@@ -534,7 +519,7 @@ class FieldTower:
 
     def extension(self, ext_degree):
         """F_q^E as a level above F_q, cached per degree."""
-        if not isinstance(ext_degree, int) or ext_degree < 1:
+        if type(ext_degree) is not int or ext_degree < 1:
             raise InputError("extension degree must be a positive integer")
         if ext_degree not in self._ext:
             modulus = upoly.irreducible_polynomial(self.fq, ext_degree)
@@ -572,11 +557,4 @@ class FieldTower:
         return f"FieldTower(p={self.p}, e={self.e}, k={self.k})"
 
 
-def tower_create(p, e, k, m_r=None, m_q=None):
-    """Build the tower F_p <= F_(p^e) <= F_(p^(e*k)), deterministically.
-
-    Without overrides each construction polynomial is the lexicographically
-    smallest monic irreducible of its degree; overrides are validated for
-    degree, monicity and irreducibility.
-    """
-    return FieldTower(p, e, k, m_r=m_r, m_q=m_q)
+tower_create = FieldTower

@@ -4,7 +4,8 @@ Coefficients are stored little-endian with a nonzero leading coefficient; the ze
 is the empty tuple. The indeterminate is written y throughout to keep it apart from the skew
 variable x used elsewhere. The field is any object with the arithmetic protocol used across
 this package (zero/one, add/sub/neg/mul/inv/div/pow, size, char, from_index/to_index,
-elements, encode/decode, scales); see ffield for the concrete implementations.
+elements, encode/decode, scales); see ffield, where PrimeField and ExtensionField take the
+part every level shares from their base _Level.
 
 Factorization is complete over any such field: squarefree decomposition, distinct-degree
 splitting (stopped at its first factor: Ben-Or) and random equal-degree splitting from a fixed
@@ -348,6 +349,7 @@ def _slot_gcd(p, x, y, s):
 def gcd(a, b):
     """Monic greatest common divisor: Euclid on packed ints over F_2 and the F_(2^e) above
     it, and over odd p on ints of slots wide enough for p^3 (_slot_gcd), unpacked once."""
+    a._check(b)
     f, k = a.field, packed(a.field)
     if k:
         return UPoly(f, k.unpack(k.gcd(k.pack(a.coeffs), k.pack(b.coeffs))))

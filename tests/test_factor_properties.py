@@ -152,7 +152,11 @@ def lexicographic_first_irreducible(reference, degree):
             return digits[::-1] + [1]
 
 
-@pytest.mark.parametrize("key, max_degree", [((2, 1, 1), 40), ((2, 1, 2), 6), ((2, 4, 1), 6)], ids=["F2", "F4", "F16"])
+@pytest.mark.parametrize(
+    "key, max_degree",
+    [((2, 1, 1), 40), ((2, 1, 2), 6), ((2, 4, 1), 6), ((3, 1, 1), 8), ((5, 1, 1), 5), ((3, 2, 1), 4), ((2, 2, 2), 4)],
+    ids=["F2", "F4", "F16", "F3", "F5", "F9", "F16-over-F4"],
+)
 def test_construction_search_finds_the_reference_first_irreducible(key, max_degree):
     field, reference = tower(*key).fq, ReferencePolys(tuple_reference(tower(*key)))
     for degree in range(1, max_degree + 1):

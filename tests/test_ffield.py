@@ -152,6 +152,22 @@ def test_tower_create_errors():
         tower_create(2, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tower_create(2, True, 2),
+        lambda: tower_create(3, 1, True),
+        lambda: tower_create(2.0, 1, 1),
+        lambda: tower_create(2, 1, 2).extension(True),
+    ],
+    ids=["e-bool", "k-bool", "p-float", "extension-bool"],
+)
+def test_tower_create_refuses_bools_and_floats(build):
+    # bool is a subclass of int and 2.0 passes is_prime: p and the degrees must be exact ints
+    with pytest.raises(InputError):
+        build()
+
+
 def test_is_prime_on_primes_past_the_trial_divisors():
     assert is_prime(41) and is_prime(2**61 - 1)
     assert not is_prime(41 * 43) and not is_prime(151 * 751 * 28351)

@@ -111,6 +111,11 @@ def test_gcd_and_powmod():
     assert powmod(UPoly.y(F2), 4, mod) == UPoly.y(F2)  # y^4 = y in F_4 = F_2[y]/(y^2+y+1)
 
 
+def test_gcd_refuses_polynomials_over_different_fields():
+    with pytest.raises(InputError):
+        gcd(UPoly(F3, [1, 0, 1]), UPoly(tower(5, 1, 1).fr, [4, 1]))
+
+
 @pytest.mark.parametrize(
     "roots_, extra, d",
     [((), [2, 0, 1], 1), ((0, 1, 2, 3), [1], 2)],
