@@ -11,11 +11,11 @@ Frobenius on the coefficient level, so exponents never grow with i.
 """
 
 from .errors import (
-    BudgetExceeded,
     InputError,
     InternalInconsistency,
     NotCentral,
     NotInSubfield,
+    admit,
 )
 from .linalg import SpanTracker
 from .upoly import DensePoly, UPoly, _byte_divider, _divide, _product
@@ -244,10 +244,7 @@ def projective_part(f, t):
     if f.is_zero:
         return UPoly.zero(tower.fq)
     n = f.exponent
-    if r**n > DENSE_EXPANSION_CAP:
-        raise BudgetExceeded(
-            f"projective image has degree (r^{n}-1)/{t} beyond cap {DENSE_EXPANSION_CAP}"
-        )
+    admit("projective part", DENSE_EXPANSION_CAP, r**n)
     coeffs = [tower.fq.zero] * ((r**n - 1) // t + 1)
     for i, c in enumerate(f.coeffs):
         coeffs[(r**i - 1) // t] = c

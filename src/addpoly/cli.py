@@ -16,7 +16,7 @@ from functools import partial
 from . import latcount, oracle
 from .additive import AdditivePoly, json_coefficients, projective_part, strip_inseparable, subadditive_image
 from .additive import minimal_central_left_component  # noqa: F401 (bench/replay.py times mclc here)
-from .errors import AddpolyError, BudgetExceeded, InputError, InternalInconsistency
+from .errors import AddpolyError, BudgetExceeded, InputError, InternalInconsistency, admit
 from .ffield import encoding_shape, tower_create
 from .frobjordan import rational_jordan_form
 from .latcount import count_chains, count_lines, generating_function, mhat
@@ -196,7 +196,7 @@ def verify_report(f, max_ext=oracle.DEFAULT_MAX_EXT):
         species.to_json(),
     )
     for d in range(n + 1):
-        oracle.check_root_budget(r, d)  # checked first: a d past both budgets is refused for its r^d roots
+        admit("roots", oracle.DEFAULT_ENUM_BUDGET, r**d)  # first: a d past both is refused for its r^d roots
         subspaces = oracle.invariant_subspaces(tower.fr, space.frobenius_matrix, d)
         components = oracle.right_components_brute(space, d, subspaces)
         check(f"right_components[d={d}]", len(components), latcount.count_from_species(species, r, d))
@@ -271,6 +271,7 @@ def main(argv=None):
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_INPUT if isinstance(exc, AddpolyError) else EXIT_INTERNAL
         if isinstance(exc, BudgetExceeded):
+            payload["error"].update(budget=exc.budget, limit=exc.limit, requested=exc.requested)
             code = EXIT_BUDGET
         elif isinstance(exc, InternalInconsistency):
             code = EXIT_INTERNAL

@@ -47,7 +47,7 @@ from math import log2
 from operator import mul, pos, xor
 
 from . import linalg, upoly
-from .errors import BudgetExceeded, InputError, NotInSubfield
+from .errors import InputError, NotInSubfield, admit
 from .gf2x import clmul, linear_map, mask_divmod, packed
 from .upoly import _digits
 
@@ -494,10 +494,9 @@ class FieldTower:
         self.fp = prime_field(p)
         q_cap = SEARCH_BITS if e == 1 else SEARCH_Q_BITS  # m_q is searched for over F_p, or over F_r
         for name, given, n, dim, cap in (("m_r", m_r, e, e, SEARCH_BITS), ("m_q", m_q, k, e * k, q_cap)):
-            if n > 1 and given is not None and dim * log2(p) > CHECK_BITS:
-                raise BudgetExceeded(f"{name} irreducibility check for F_{p}^{dim} exceeds cap 2^{CHECK_BITS} elements")
-            if n > 1 and given is None and dim * log2(p) > cap:
-                raise BudgetExceeded(f"{name} search for F_{p}^{dim} exceeds cap 2^{cap} elements; give {name}")
+            if n > 1:  # in bits: log2 of the size of the level that name builds
+                kind, limit = ("check", CHECK_BITS) if given is not None else ("search", cap)
+                admit(f"{name} {kind}", limit, dim * log2(p))
         self.m_r = self._construction(self.fp, e, m_r, "m_r")
         self.fr = self.fp if e == 1 else ExtensionField(self.fp, self.m_r.coeffs)
         self.m_q = self._construction(self.fr, k, m_q, "m_q")

@@ -14,7 +14,7 @@ from math import comb
 
 from . import upoly
 from .additive import projective_part, strip_inseparable
-from .errors import BudgetExceeded, InputError, InternalInconsistency
+from .errors import InputError, InternalInconsistency, admit
 from .frobjordan import rational_jordan_form
 
 MHAT_PARTITION_BUDGET = 1 << 18
@@ -58,10 +58,7 @@ def mhat(n, r):
                 total += sign * p[i - k * (3 * k + 1) // 2]
             k += 1
         p.append(total)
-        if sum(p) - 1 > MHAT_PARTITION_BUDGET:
-            raise BudgetExceeded(
-                f"mhat at n = {n} needs more than {MHAT_PARTITION_BUDGET} partitions"
-            )
+        admit("partitions", MHAT_PARTITION_BUDGET, sum(p) - 1)
     brackets = [q_bracket(j, r) for j in range(n + 1)]
     sums = [{0}]
     for i in range(1, n + 1):
@@ -182,9 +179,7 @@ def count_chains(species, r):
     Those have no product formula, so more than CHAIN_STATE_BUDGET states of
     their walks in all raise BudgetExceeded before any walk.
     """
-    states = sum(_sub_signatures(lam) for _, lam in species)
-    if states > CHAIN_STATE_BUDGET:
-        raise BudgetExceeded(f"count_chains needs {states} sub-signatures, more than {CHAIN_STATE_BUDGET}")
+    admit("chain states", CHAIN_STATE_BUDGET, sum(_sub_signatures(lam) for _, lam in species))
     total, length = 1, 0
     for m, lam in species:
         li = sum(j * c for j, c in enumerate(lam, start=1))

@@ -12,16 +12,16 @@ expected, typed outcome, never a correctness escape hatch.
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 from . import linalg, upoly
 from .additive import AdditivePoly, evaluate, right_divmod
 from .errors import (
-    BudgetExceeded,
     DescentFailure,
     ExtensionTooLarge,
     InputError,
     InternalInconsistency,
+    admit,
 )
 from .frobjordan import Species, lambdas_from_nullities
 from .gf2x import packed
@@ -32,6 +32,8 @@ DEFAULT_MAX_EXT = 32
 MAX_EXT_LIMIT = 64  # the extension field grows fast past this
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_POINT_BUDGET = 1 << 20
+ROOT_SPACE_BUDGET = 192  # [F_(q^E) : F_r], the side of root_space's dense kernel
+ROOT_PRODUCT_BUDGET = 1 << 8  # linear factors multiplied for one d, over all its subspaces
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
     the steps that take x mod f back to itself, each a right division by f of x^q o rem, which is
     rem moved up k places since the q-power fixes F_q. The kernel of f as an F_r-linear map on
     F_(q^E) is extracted by Gaussian elimination and must have dimension equal to the exponent of
-    f. A cap max_ext outside 1..MAX_EXT_LIMIT is an input error.
+    f. A cap max_ext outside 1..MAX_EXT_LIMIT is an input error. An E past max_ext, and a kernel
+    side E * k past ROOT_SPACE_BUDGET, are refused before the extension is built.
     """
     if not 1 <= max_ext <= MAX_EXT_LIMIT:
         raise InputError(f"max_ext {max_ext} is outside 1..{MAX_EXT_LIMIT}")
@@ -67,16 +70,14 @@ def root_space(f, max_ext=DEFAULT_MAX_EXT):
     fr = tower.fr
     n = f.exponent
     start = rem = right_divmod(AdditivePoly.identity(tower), f)[1]
-    for ext_degree in range(1, max_ext + 1):
+    for ext_degree in count(1):
+        admit("max_ext", max_ext, ext_degree, ExtensionTooLarge)
         rem = right_divmod(AdditivePoly(tower, (tower.fq.zero,) * tower.k + rem.coeffs), f)[1]
         if rem == start:
             break
-    else:
-        raise ExtensionTooLarge(
-            f"root space needs an extension of degree > {max_ext} over F_q"
-        )
-    field = tower.extension(ext_degree)
     dim = ext_degree * tower.k  # [F_(q^E) : F_r]
+    admit("root space", ROOT_SPACE_BUDGET, dim)
+    field = tower.extension(ext_degree)
     images = []
     for t in range(dim):
         unit = [fr.zero] * dim
@@ -117,11 +118,7 @@ def invariant_subspaces(field, mat, d):
         return []
     if d == 0:
         return [()]
-    total = gaussian_binomial(n, d, field.size)
-    if total > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"enumerating {total} candidate {d}-subspaces exceeds budget {DEFAULT_ENUM_BUDGET}"
-        )
+    admit("subspaces", DEFAULT_ENUM_BUDGET, gaussian_binomial(n, d, field.size))
     elements, cols = list(field.elements()), list(zip(*mat))  # cols[j]: the image of unit vector j
     out = []
     for pivots in combinations(range(n), d):
@@ -154,23 +151,19 @@ def _is_invariant(field, cols, rows, pivots):
     return True
 
 
-def check_root_budget(r, d):
-    """BudgetExceeded if the root product of a d-subspace, r^d linear factors, exceeds the budget."""
-    if r**d > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(f"expanding subspaces of {r**d} roots exceeds budget {DEFAULT_ENUM_BUDGET}")
-
-
 def right_components_brute(space, d, subspaces):
     """The exponent-d right components of space.poly from the given invariant d-subspaces.
 
     For each subspace W (a basis from invariant_subspaces), expands prod_(alpha in W) (x - alpha)
     over the extension by a balanced product tree (von zur Gathen, Gerhard, Modern Computer
     Algebra, 10.1), checks that only r-power exponents survive and that every coefficient
-    descends to F_q, and certifies the result by an exact right division.
+    descends to F_q, and certifies the result by an exact right division. The r^d roots of
+    one subspace and the roots of all of them are each admitted against a budget first.
     """
     f, tower, field, r = space.poly, space.tower, space.field, space.tower.r
-    check_root_budget(r, d)
-    fq, elements, kernel = tower.fq, list(tower.fr.elements()), packed(field)
+    admit("roots", DEFAULT_ENUM_BUDGET, r**d)
+    admit("root products", ROOT_PRODUCT_BUDGET, len(subspaces) * r**d)
+    fq, elements, kernel = tower.fq, list(tower.fr.elements()) if d else (), packed(field)  # F_r may not fit in memory
     leaf, mul = (kernel.pack, kernel.mul) if kernel else (partial(UPoly, field), UPoly.__mul__)
     components = []
     for sub in subspaces:
@@ -215,12 +208,9 @@ def right_components_by_division(f, d):
     fq = f.tower.fq
     if d < 0 or d > f.exponent:
         return []
-    if fq.size**d > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"trial division by {fq.size**d} candidates exceeds budget {DEFAULT_ENUM_BUDGET}"
-        )
+    admit("trial divisions", DEFAULT_ENUM_BUDGET, fq.size**d)
     out = []
-    for low in product(list(fq.elements()), repeat=d):
+    for low in product(list(fq.elements()) if d else (), repeat=d):  # F_q may not fit in memory
         h = AdditivePoly(f.tower, low + (fq.one,))
         if right_divmod(f, h)[1].is_zero:
             out.append(h)
@@ -255,10 +245,7 @@ def maximal_chains_brute(field, mat):
         k = key(m)
         if k in memo:
             return memo[k]
-        if field.size**n > DEFAULT_POINT_BUDGET:
-            raise BudgetExceeded(
-                f"chain walk over {field.size}^{n} vectors exceeds budget {DEFAULT_POINT_BUDGET}"
-            )
+        admit("chain walk", DEFAULT_POINT_BUDGET, field.size**n)
         total = 0
         depth = None
         for sub in _minimal_invariant_subspaces(field, m):

@@ -21,7 +21,7 @@ import random
 from itertools import repeat
 from operator import add, xor
 
-from .errors import BudgetExceeded, InputError, InternalInconsistency
+from .errors import InputError, InternalInconsistency, admit
 from .gf2x import packed
 
 DEFAULT_ROOT_SCAN_CAP = 1 << 16
@@ -619,8 +619,7 @@ def irreducible_polynomial(field, degree):
 def roots(u):
     """All roots in the coefficient field, by exhaustive scan."""
     field = u.field
-    if field.size > DEFAULT_ROOT_SCAN_CAP:
-        raise BudgetExceeded(f"root scan over a field of size {field.size} exceeds cap {DEFAULT_ROOT_SCAN_CAP}")
+    admit("root scan", DEFAULT_ROOT_SCAN_CAP, field.size)
     if u.is_zero:
         raise InputError("every element is a root of the zero polynomial")
     return [a for a in field.elements() if u.evaluate(a) == field.zero]

@@ -11,7 +11,7 @@ quotient signatures that counted maximal chains of one eigenfactor, and the
 partitions that mhat's bracket sums run over."""
 
 import functools
-from itertools import product
+from itertools import count, product
 
 from addpoly import linalg, oracle, upoly
 from addpoly.additive import (
@@ -22,7 +22,7 @@ from addpoly.additive import (
     right_divmod,
     upoly_to_central,
 )
-from addpoly.errors import BudgetExceeded, InputError, InternalInconsistency, NotInSubfield
+from addpoly.errors import InputError, InternalInconsistency, NotInSubfield, admit
 from addpoly.frobjordan import RationalJordanForm, _nullity_sequence
 from addpoly.latcount import q_bracket
 from addpoly.upoly import UPoly
@@ -81,8 +81,7 @@ def to_dense(f):
         return UPoly.zero(tower.fq)
     r = tower.r
     n = f.exponent
-    if r**n > DENSE_EXPANSION_CAP:
-        raise BudgetExceeded(f"dense expansion of degree r^{n} exceeds cap {DENSE_EXPANSION_CAP}")
+    admit("dense expansion", DENSE_EXPANSION_CAP, r**n)
     coeffs = [tower.fq.zero] * (r**n + 1)
     for i, c in enumerate(f.coeffs):
         coeffs[r**i] = c
@@ -248,11 +247,11 @@ def order_of_y_mod(u, cap=1 << 16):
         return 1
     one = UPoly.one(u.field)
     cur = UPoly.y(u.field) % u
-    for e in range(1, cap + 1):
+    for e in count(1):
+        admit("order of y", cap, e)
         if cur == one:
             return e
         cur = cur.shift(1) % u
-    raise BudgetExceeded(f"order of y mod {u.encode()} exceeds cap {cap}")
 
 
 def per_degree_distinct_degree(w):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -349,9 +350,9 @@ def test_verify_refuses_a_root_product_before_enumerating_its_subspaces(capsys, 
     job = json.dumps({"p": 2, "e": 22, "k": 1, "f": {"r_exp": 22, "coeffs": [one, zero, one]}})
     code, out = run(capsys, ["verify"], stdin=job, monkeypatch=monkeypatch)
     assert code == 3
-    assert json.loads(out)["error"] == {
-        "type": "BudgetExceeded", "message": "expanding subspaces of 4194304 roots exceeds budget 2097152"
-    }
+    error = json.loads(out)["error"]
+    assert error.pop("message") == "4194304 exceeds the roots budget of 2097152"
+    assert error == {"type": "BudgetExceeded", "budget": "roots", "limit": 2097152, "requested": 4194304}
 
 
 def _jobspec_f2(coeffs):
@@ -571,27 +572,34 @@ def test_malformed_f_is_refused_before_a_slow_tower_is_built():
 
 
 @pytest.mark.parametrize(
-    "p,e,k,name,bits",
-    [(2, 100000, 1, "m_r", "2^100000"), (2, 1, 2000, "m_q", "2^2000"), (2, 8, 8, "m_q", "2^64")],
+    "p,e,k,name,cap,bits",
+    [(2, 100000, 1, "m_r", 1000, 100000), (2, 1, 2000, "m_q", 1000, 2000), (2, 8, 8, "m_q", 40, 64)],
     ids=["e100000", "k2000", "f256-k8"],
 )
-def test_well_formed_job_past_the_search_cap_is_refused_before_the_search(p, e, k, name, bits):
-    # each default construction search runs for tens of seconds or more; the cap refuses it first
+def test_well_formed_job_past_the_search_cap_is_refused_before_the_search(p, e, k, name, cap, bits):
+    # each default construction search runs for tens of seconds or more; the cap refuses it first.
+    # Limit and request are in bits: log2 of the size of the level that name builds
     width = k if k > 1 else e  # F_q's coordinates over the level below
     one = [1] + [0] * (width - 1)
     job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, one]}}
     error = refused_within_2_s(job)
-    assert f"{name} search for F_{bits} exceeds cap" in error["message"]
-    assert error["message"].endswith(f"give {name}")
+    assert (error["budget"], error["limit"], error["requested"]) == (f"{name} search", cap, bits)
 
 
-def refused_within_2_s(job, command="species", code=3, kind="BudgetExceeded"):
-    """The error of a child process of this command on this JobSpec, which must exit with
-    this code within 2 s with one JSON document on stdout, an error of this kind."""
+def refused_within_2_s(job, *argv, code=3, kind="BudgetExceeded"):
+    """The error of a child process of this command line (species by default) on this JobSpec,
+    which must exit with this code within 2 s and 2 GiB of address space, with one JSON
+    document on stdout, an error of this kind."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from addpoly.cli import main\n"
+        f"sys.exit(main({list(argv or ['species'])!r}))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "addpoly.cli", command],
+        [sys.executable, "-c", script],
         input=json.dumps(job),
         capture_output=True,
         text=True,
@@ -618,7 +626,7 @@ def test_p_past_the_exact_primality_test_is_refused(command):
 
 @pytest.mark.parametrize(
     "p,e,k,name,bits",
-    [(2, 9689, 1, "m_r", "2^9689"), (3, 1, 1300, "m_q", "3^1300")],
+    [(2, 9689, 1, "m_r", 9689.0), (3, 1, 1300, "m_q", 1300 * math.log2(3))],
     ids=["f2-e9689", "f3-k1300"],
 )
 def test_supplied_trinomial_past_the_check_cap_is_refused_before_ben_or(p, e, k, name, bits):
@@ -629,7 +637,7 @@ def test_supplied_trinomial_past_the_check_cap_is_refused_before_ben_or(p, e, k,
     trinomial = [1] + [0] * 83 + [1] + [0] * (n - 85) + [1]
     job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, one]}, name: trinomial}
     error = refused_within_2_s(job)
-    assert error["message"] == f"{name} irreducibility check for F_{bits} exceeds cap 2^2000 elements"
+    assert (error["budget"], error["limit"], error["requested"]) == (f"{name} check", 2000, bits)
 
 
 def test_tower_over_a_large_prime_runs_in_bounded_memory():
@@ -653,6 +661,75 @@ def test_tower_over_a_large_prime_runs_in_bounded_memory():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["species"] == [[1, [1]]]
+
+
+def _x_r2_job(e, middle):
+    """x^(r^2) + middle x^r + x over the tower (2, e, 1)."""
+    one, zero = [1] + [0] * (e - 1), [0] * e
+    return {"p": 2, "e": e, "k": 1, "f": {"r_exp": e, "coeffs": [one, one if middle else zero, one]}}
+
+
+@pytest.mark.parametrize("e, middle", [(22, 0), (26, 0), (63, 1)], ids=["f2e22", "f2e26", "f2e63"])
+def test_verify_over_a_large_f_r_lists_no_field_before_its_budgets(e, middle):
+    # d = 0 needs no element of F_r; listing them all ran out of memory (2^26) or overflowed
+    # (2^63) before the roots' budget refused d = 1
+    error = refused_within_2_s(_x_r2_job(e, middle), "verify")
+    assert (error["budget"], error["limit"], error["requested"]) == ("roots", 1 << 21, 1 << e)
+
+
+def test_verify_refuses_the_root_products_of_one_line_of_65536_roots():
+    # x^(r^2) + x over (2, 16, 1): its one invariant line has r = 2^16 roots over F_(2^32)
+    error = refused_within_2_s(_x_r2_job(16, 0), "verify")
+    assert (error["budget"], error["limit"], error["requested"]) == ("root products", 256, 1 << 16)
+
+
+def test_verify_refuses_a_root_space_of_side_1920_before_the_extension():
+    # x^4 + x^2 + x over (2, 1, 640): E = 3, a dense kernel of side E k = 1920
+    one, zero = [1] + [0] * 639, [0] * 640
+    job = {"p": 2, "e": 1, "k": 640, "f": {"r_exp": 1, "coeffs": [one, one, one]}}
+    error = refused_within_2_s(job, "verify")
+    assert (error["budget"], error["limit"], error["requested"]) == ("root space", 192, 1920)
+
+
+def test_pi_on_an_exponent_15000_f_prints_its_request_by_bit_length():
+    # r^n = 2^15000 has 4516 digits, past Python's int-to-str limit
+    job = {"p": 2, "e": 1, "k": 1, "f": {"r_exp": 1, "coeffs": [1] + [0] * 14999 + [1]}}
+    error = refused_within_2_s(job, "pi", "--t", "1")
+    assert (error["budget"], error["limit"], error["requested"]) == ("projective part", 1 << 16, ">= 2^15000")
+    assert error["message"] == ">= 2^15000 exceeds the projective part budget of 65536"
+
+
+def test_verify_refuses_the_candidate_lines_of_an_exponent_22_f(capsys, monkeypatch):
+    # x^(2^22) + x over F_2: E = 22, but [22 choose 1]_2 = 2^22 - 1 candidate lines
+    code, out = run(capsys, ["verify"], stdin=_jobspec_f2([1] + [0] * 21 + [1]), monkeypatch=monkeypatch)
+    assert code == 3 and len(out.splitlines()) == 1
+    error = json.loads(out)["error"]
+    assert (error["budget"], error["limit"], error["requested"]) == ("subspaces", 1 << 21, (1 << 22) - 1)
+
+
+def test_verify_skips_the_ore_count_past_the_root_scan_cap(capsys, monkeypatch):
+    # x^2 + x over (2, 1, 17): every oracle stage is small, but the Ore count scans F_(2^17)
+    one = [1] + [0] * 16
+    job = json.dumps({"p": 2, "e": 1, "k": 17, "f": {"r_exp": 1, "coeffs": [one, one]}})
+    code, out = run(capsys, ["verify"], stdin=job, monkeypatch=monkeypatch)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_pass"] is True
+    assert payload["checks"][-1] == {"name": "ore_line_count", "pass": True, "skipped": "budget"}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["species"], "[1, 2]", "JobSpec must be a JSON object"),
+        (["species"], json.dumps({"p": 2, "e": 1, "k": 1}), "JobSpec is missing the polynomial field 'f'"),
+        (["mhat", "--r", "2"], None, "mhat requires n"),
+    ],
+    ids=["not-an-object", "no-f", "mhat-without-n"],
+)
+def test_input_errors_of_the_jobspec_and_settings(capsys, monkeypatch, argv, stdin, message):
+    code, out = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": {"type": "InputError", "message": message}}
 
 
 def test_pretty_output(capsys, monkeypatch):
