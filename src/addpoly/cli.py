@@ -2,8 +2,9 @@
 
 One job per invocation, JSON in and JSON out: a JobSpec (field tower plus
 polynomial plus command parameters) arrives via --input FILE or stdin, and
-every exit path prints a single JSON document. Exit codes: 0 success, 2 input
-error, 3 budget exceeded, 4 internal inconsistency or any other exception.
+every exit path but help (argparse's usage text, exit 0) prints a single JSON
+document. Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 internal
+inconsistency or any other exception.
 
 Identical JobSpecs produce byte-identical output.
 """
@@ -214,16 +215,19 @@ def verify_report(f, max_ext=oracle.DEFAULT_MAX_EXT):
     return {"all_pass": all(c["pass"] for c in checks), "checks": checks}
 
 
-def _add_options(parser, command):
-    """Add a command's options to its parser: a subparser of the full one, or its parser alone."""
-    if command != "mhat":
-        parser.add_argument("--input", default="-", help="JobSpec JSON file, or - for stdin")
-    parser.add_argument("--pretty", action="store_true", help="indented JSON output")
-    for name in COMMANDS[command][2]:
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
+def _options(command):
+    """A command's long options, flag -> (dest, default). The default tells the kind: False a switch,
+    None an integer setting, "-" the JobSpec path."""
+    options = {} if command == "mhat" else {"--input": ("input", "-")}
+    options["--pretty"] = ("pretty", False)
+    options.update(("--" + name.replace("_", "-"), (name, None)) for name in COMMANDS[command][2])
     if command == "count":
-        parser.add_argument("--all", action="store_true", help="emit the whole generating function")
-    return parser
+        options["--all"] = ("all", False)
+    return options
+
+
+_HELP = {"input": "JobSpec JSON file, or - for stdin", "pretty": "indented JSON output",
+         "all": "emit the whole generating function"}
 
 
 def build_parser():
@@ -231,17 +235,37 @@ def build_parser():
     parser = _Parser(prog="addpoly", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, _) in COMMANDS.items():
-        _add_options(sub.add_parser(command, help=help_text), command)
+        subparser = sub.add_parser(command, help=help_text)
+        for flag, (dest, default) in _options(command).items():
+            kind = {"action": "store_true"} if default is False else {"type": int} if default is None else {}
+            subparser.add_argument(flag, dest=dest, default=default, help=_HELP.get(dest), **kind)
     return parser
 
 
 def parse_args(argv):
-    """argv parsed as the full parser would; a named command builds its own parser alone."""
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    args = _add_options(_Parser(prog=f"addpoly {argv[0]}"), argv[0]).parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    """argv parsed as build_parser() parses it. A command followed only by its exact long options,
+    each value non-empty and not starting with -, is read without building a parser, which costs
+    more than most jobs; argparse reads every other argv, and so prints help and every error."""
+    command = argv[0] if argv else None
+    if command in COMMANDS:
+        options = _options(command)
+        args = {"command": command, **dict(options.values())}
+        tokens = iter(argv[1:])
+        try:
+            for token in tokens:
+                dest, default = options[token]
+                if default is False:
+                    args[dest] = True
+                    continue
+                value = next(tokens)
+                if not value or value[0] == "-":
+                    break
+                args[dest] = int(value) if default is None else value  # int: argparse's type
+            else:
+                return argparse.Namespace(**args)
+        except (KeyError, StopIteration, ValueError):  # not a flag of command, no value, not an int
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _dumps(payload, pretty):

@@ -7,11 +7,14 @@ products, a tuple reference field and schoolbook polynomials over it,
 the oracle's root products over every invariant subspace of one dimension, the
 capped order of y modulo a polynomial, the chain walk's minimal invariant
 subspaces with every point's closure recomputed, the memoized recursion over
-quotient signatures that counted maximal chains of one eigenfactor, and the
-partitions that mhat's bracket sums run over."""
+quotient signatures that counted maximal chains of one eigenfactor, the
+partitions that mhat's bracket sums run over, and the command lines that the CLI
+parser tests draw."""
 
 import functools
 from itertools import count, product
+
+from hypothesis import strategies as st
 
 from addpoly import linalg, oracle, upoly
 from addpoly.additive import (
@@ -22,6 +25,7 @@ from addpoly.additive import (
     right_divmod,
     upoly_to_central,
 )
+from addpoly.cli import COMMANDS
 from addpoly.errors import InputError, InternalInconsistency, NotInSubfield, admit
 from addpoly.frobjordan import RationalJordanForm, _nullity_sequence
 from addpoly.latcount import q_bracket
@@ -626,3 +630,26 @@ def signatures(dim):
         for order in part:
             lam[order - 1] += 1
         yield tuple(lam)
+
+
+# values for an option: integer-like tokens (signed, spaced, with an underscore, past Python's
+# int-to-str limit of 4300 digits), junk and the empty string
+OPTION_VALUES = ["3", "-3", "+3", " 3", "1_0", "9" * 5000, "x", "job.json", "species", ""]
+
+
+def command_lines(command):
+    """Command lines `command *tokens`: each token run either one of the command's own options
+    followed by a value, or one token of an alphabet that holds its exact long options, their
+    abbreviations and = forms, every other command's options, --, -, -h and OPTION_VALUES."""
+    valued = ["--" + name.replace("_", "-") for name in COMMANDS[command][2]]
+    valued += ["--input"] if command != "mhat" else []
+    own = valued + ["--pretty"] + (["--all"] if command == "count" else [])
+    every = {"--input", "--pretty", "--all"}
+    every = every.union(*(("--" + name.replace("_", "-") for name in s) for _, _, s in COMMANDS.values()))
+    short = [flag[:n] for flag in own for n in (3, 4, len(flag) - 1) if 2 < n < len(flag)]
+    alphabet = own + short + [flag + "=3" for flag in own] + sorted(every) + ["--", "-", "-h"] + OPTION_VALUES
+    runs = st.one_of(
+        st.sampled_from(alphabet).map(lambda token: [token]),
+        st.tuples(st.sampled_from(valued), st.sampled_from(OPTION_VALUES)).map(list),
+    )
+    return st.lists(runs, max_size=4).map(lambda runs: [command] + [token for run in runs for token in run])

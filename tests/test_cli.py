@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,10 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addpoly.cli import COMMANDS, build_parser, main, parse_args
 from addpoly.errors import InputError
 from addpoly.frobjordan import rational_jordan_form
+from helpers import command_lines
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -473,6 +477,26 @@ def test_one_command_parser_parses_as_the_full_parser(command):
         cases += [[command, flag, "1", flag, "2"], [command, flag, ""], [command, flag[:4], "5"]]
     for argv in cases:
         assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv), argv
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(COMMANDS)).flatmap(command_lines))
+def test_every_drawn_command_line_parses_as_the_full_parser(argv):
+    assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+
+def test_the_command_lines_of_the_bench_and_readme_build_no_parser(monkeypatch):
+    # a command and its exact long options are read without argparse: building a parser costs
+    # more than most benchmark jobs
+    argvs = [["species"], ["count"], ["count", "--all"], ["count", "--d", "2"], ["count-general", "--d", "2"]]
+    argvs += [["mhat", "--n", "10", "--r", "2"], ["verify"], ["verify", "--max-ext", "8", "--input", "job.json", "--pretty"]]
+    expected = [vars(build_parser().parse_args(argv)) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [vars(parse_args(argv)) for argv in argvs] == expected
 
 
 @pytest.mark.parametrize("p", [0, 1, -7, 1763, 3215031751])

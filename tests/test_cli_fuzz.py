@@ -7,8 +7,12 @@ search and the species computation, with wrong types, true where an integer
 belongs, huge degrees, reducible or misshapen construction polynomials, unknown
 fields and deep nesting. verify's JobSpecs add hostile max_ext values, root spaces
 past the extension cap at k > 1 and non-squarefree f. Species-shaped JobSpecs give
-count many equal blocks or one long block. The draws are derandomized
-(tests/conftest.py).
+count many equal blocks or one long block. pi's JobSpecs draw t dividing r - 1 or
+not, and count-general's an inseparable f with d inside and outside 0..n. Command
+lines drawn from an alphabet of options, abbreviations, = forms, separators and
+integer-like values (tests/helpers.py) run on a well-formed JobSpec; help, which
+prints argparse's usage text and exits 0, is the one exit with no JSON. The draws
+are derandomized (tests/conftest.py).
 """
 
 import contextlib
@@ -19,7 +23,8 @@ import sys
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from addpoly.cli import main
+from addpoly.cli import COMMANDS, main
+from helpers import command_lines
 
 TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 1), (2, 4, 1)]
 # stands for 5000 nested lists, too deep to build as Python objects: spliced into the JSON text
@@ -53,6 +58,11 @@ def element(p, e, k):
 def one(p, e, k):
     digit = [1] + [0] * (e - 1) if e > 1 else 1
     return [digit] + [[0] * e if e > 1 else 0] * (k - 1) if k > 1 else digit
+
+
+def zero(p, e, k):
+    digit = [0] * e if e > 1 else 0
+    return [digit] * k if k > 1 else digit
 
 
 @st.composite
@@ -103,9 +113,20 @@ def run(argv, text):
     try:
         with contextlib.redirect_stdout(out):
             code = main(argv)
+    except SystemExit as exc:  # help: argparse prints its usage text and exits
+        code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue()
+
+
+def one_document(code, out):
+    """The one JSON document out holds, compact or indented, checked against the exit code."""
+    payload = json.loads(out)
+    compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert out in (compact + "\n", json.dumps(payload, sort_keys=True, indent=2) + "\n"), out
+    assert (code == 0) == ("error" not in payload), out
+    return payload
 
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
@@ -188,3 +209,65 @@ def test_every_generated_verify_jobspec_ends_with_one_json_document(job):
         assert code in (2, 3, 4), out
     else:
         assert code == (0 if payload["all_pass"] else 4), out
+
+
+@st.composite
+def small_job(draw):
+    """A well-formed JobSpec small enough for verify: monic f of exponent 1 to 3 with a_0 = 1 over
+    one of VERIFY_TOWERS, with some of the settings d, t and max_ext."""
+    p, e, k = draw(st.sampled_from(VERIFY_TOWERS))
+    coeffs = [one(p, e, k)] + draw(st.lists(element(p, e, k), max_size=2)) + [one(p, e, k)]
+    job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": coeffs}}
+    for name, value in (("d", st.integers(0, 3)), ("t", st.just(1)), ("max_ext", st.integers(1, 8))):
+        if draw(st.booleans()):
+            job[name] = draw(value)
+    return job
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(COMMANDS)).flatmap(command_lines), small_job())
+def test_every_generated_command_line_ends_with_one_json_document(argv, job):
+    code, out = run(argv, json.dumps(job))
+    if out.startswith("usage:"):  # help, the one exit that prints no JSON
+        assert code == 0 and "-h" in argv, out
+        return
+    assert code in (0, 2, 3), out
+    one_document(code, out)
+
+
+@st.composite
+def pi_job(draw):
+    """A JobSpec for pi: any f of exponent at most 3, which keeps the dense expansion of r^n
+    coefficients and its t-th power small, and t dividing r - 1 or not."""
+    p, e, k = draw(st.sampled_from(TOWERS))
+    r = p**e
+    coeffs = draw(st.lists(element(p, e, k), min_size=1, max_size=4))
+    t = draw(st.one_of(st.sampled_from([t for t in range(1, r) if (r - 1) % t == 0]), st.integers(-1, r + 1)))
+    return {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": coeffs}, "t": t}
+
+
+@st.composite
+def count_general_job(draw):
+    """A JobSpec for count-general: an inseparable monic f, whose a_0 .. a_(m-1) are 0 for some
+    m >= 1, of exponent n at most 4, and d inside and outside 0..n."""
+    p, e, k = draw(st.sampled_from(TOWERS))
+    coeffs = [zero(p, e, k)] * draw(st.integers(1, 2)) + draw(st.lists(element(p, e, k), max_size=2))
+    coeffs.append(one(p, e, k))
+    n = len(coeffs) - 1
+    return {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": coeffs}, "d": draw(st.integers(-2, n + 2))}
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(pi_job(), count_general_job()))
+def test_every_generated_pi_and_count_general_jobspec_ends_with_one_json_document(job):
+    command = "pi" if "t" in job else "count-general"
+    code, out = run([command], json.dumps(job))
+    assert code in (0, 2), out
+    payload = one_document(code, out)
+    if command == "pi":
+        r, t = job["p"] ** job["e"], job["t"]
+        assert (code == 0) == (t >= 1 and (r - 1) % t == 0), out
+    else:
+        n, d = len(job["f"]["coeffs"]) - 1, job["d"]
+        assert code == 0 and payload["d"] == d, out
+        assert (payload["count"] == 0) == (d < 0 or d > n), out
