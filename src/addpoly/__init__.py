@@ -44,6 +44,7 @@ from .latcount import (
     mhat,
     ore_criterion_count,
     q_bracket,
+    species_of,
 )
 from .oracle import (
     RootSpace,

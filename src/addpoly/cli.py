@@ -4,7 +4,9 @@ One job per invocation, JSON in and JSON out: a JobSpec (field tower plus
 polynomial plus command parameters) arrives via --input FILE or stdin, and
 every exit path but help (argparse's usage text, exit 0) prints a single JSON
 document. Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 internal
-inconsistency or any other exception.
+inconsistency or any other exception. count and count-general take any monic
+f, its inseparable part x^(r^m) counted as one more Jordan block; species and
+verify take a monic squarefree f.
 
 Identical JobSpecs produce byte-identical output.
 """
@@ -62,9 +64,7 @@ def cmd_species(f, settings):
 
 
 def cmd_count(f, settings):
-    if not f.is_monic or not f.is_squarefree:
-        raise InputError("count expects a monic squarefree polynomial; see count-general")
-    species = rational_jordan_form(f).species
+    species = latcount.species_of(f)
     r = f.tower.r
     payload = {
         "species": species.to_json(),
@@ -81,15 +81,8 @@ def cmd_count(f, settings):
 
 
 def cmd_count_general(f, settings):
-    d = settings["d"]
-    m, squarefree_part = strip_inseparable(f)
-    payload = {
-        "d": d,
-        "m": m,
-        "n": squarefree_part.exponent,
-        "count": latcount.count_right_components(f, d),
-    }
-    return payload, EXIT_OK
+    d, m = settings["d"], strip_inseparable(f)[0]
+    return {"d": d, "m": m, "n": f.exponent - m, "count": latcount.count_right_components(f, d)}, EXIT_OK
 
 
 def cmd_mhat(f, settings):
@@ -118,8 +111,8 @@ REQUIRED = object()
 # the switch --all.
 COMMANDS = {
     "species": (cmd_species, "rational Jordan form data of the Frobenius", {}),
-    "count": (cmd_count, "right-component and chain counts", {"d": None}),
-    "count-general": (cmd_count_general, "counts for non-squarefree inputs", {"d": REQUIRED}),
+    "count": (cmd_count, "right-component and chain counts of a monic f", {"d": None}),
+    "count-general": (cmd_count_general, "one right-component count, of any monic f", {"d": REQUIRED}),
     "mhat": (
         cmd_mhat,
         "superset of achievable exponent-1 component counts",

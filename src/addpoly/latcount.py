@@ -1,12 +1,14 @@
 """Exact counting of invariant subspaces, chains, and right components.
 
-Every count is read from the species. Line counts are sums of q-brackets,
-and full subspace generating functions Birkhoff's count of the submodules of
-one eigenfactor over the field of size r^m, recombined by the z -> z^m
-substitution and polynomial multiplication. Maximal-chain counts have no
-closed form: they are a multinomial times per-eigenfactor chain counts, each
-a walk over the quotient signatures, admitted against CHAIN_STATE_BUDGET.
-All counts are arbitrary-precision integers.
+Every count is read from the species, which species_of gives for every
+monic f: the inseparable part x^(r^m) is one more block, of order m. Line
+counts are sums of q-brackets, and full subspace generating functions
+Birkhoff's count of the submodules of one eigenfactor over the field of size
+r^m, recombined by the z -> z^m substitution and polynomial multiplication.
+Maximal-chain counts have no closed form: they are a multinomial times
+per-eigenfactor chain counts, each a walk over the quotient signatures,
+admitted against CHAIN_STATE_BUDGET. All counts are arbitrary-precision
+integers.
 """
 
 from itertools import accumulate
@@ -15,7 +17,7 @@ from math import comb
 from . import upoly
 from .additive import projective_part, strip_inseparable
 from .errors import InputError, InternalInconsistency, admit
-from .frobjordan import rational_jordan_form
+from .frobjordan import Species, rational_jordan_form
 
 MHAT_PARTITION_BUDGET = 1 << 18
 CHAIN_STATE_BUDGET = 1 << 17
@@ -188,22 +190,18 @@ def count_chains(species, r):
     return total
 
 
-def count_right_components(f_general, d):
-    """Number of monic right components of exponent d of a monic f.
+def species_of(f):
+    """The species that counts a monic f = x^(r^m) o f_0, f_0 squarefree: that of f_0 (none for
+    f_0 = x) plus, for m > 0, one entry of one block of order m. x^(r^m) is normal in F_q[x; r]
+    (Ore 1933), so the lattice of f is f_0's times a chain of length m, which is that entry's."""
+    m, f0 = strip_inseparable(f)
+    entries = rational_jordan_form(f0).species.entries if f0.exponent else ()
+    return Species.make(entries + (((1, [0] * (m - 1) + [1]),) if m else ()))
 
-    Strips the inseparable part x^(r^m) and sums the counts g_i of the
-    remaining squarefree f over the window d-m..d; empty above exponent
-    n + m. For a squarefree f (m = 0) this is g_d.
-    """
-    m, f = strip_inseparable(f_general)
-    n = f.exponent
-    lo, hi = max(0, d - m), min(d, n)
-    if lo > hi:
-        return 0
-    if n == 0:
-        return 1
-    g = generating_function(rational_jordan_form(f).species, f.tower.r)
-    return sum(g[lo : hi + 1])
+
+def count_right_components(f, d):
+    """Number of monic right components of exponent d of a monic f, read from species_of(f)."""
+    return count_from_species(species_of(f), f.tower.r, d)
 
 
 def count_from_species(species, r, d):

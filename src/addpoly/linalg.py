@@ -170,13 +170,15 @@ class SpanTracker:
 
 
 def vector_minpoly_coeffs(field, mat, vec):
-    """Monic minimal polynomial of vec under mat, as a little-endian list."""
+    """Monic minimal polynomial of vec under mat, as a little-endian list. List rows with one
+    tracking column per insertion, as SpanTracker's list branch, but never its packed rows,
+    which mclc reads tau(f*) from: the oracle shares no elimination with the fast path."""
     if not mat:
         raise InputError("empty matrix")
-    tracker = SpanTracker(field)
-    w = list(vec)
-    while True:
-        dep = tracker.add(w)
-        if dep is not None:
-            return dep
+    n, zero, rows, pivots, w = len(mat), field.zero, [], [], list(vec)
+    for i in range(n + 1):  # n + 1 vectors of an n-space are dependent
+        track = [zero] * i + [field.one] + [zero] * (n - i)
+        rem = echelon_insert(field, rows, pivots, w + track, n)
+        if rem is not None:
+            return rem[n : n + i + 1]
         w = mat_vec(field, mat, w)

@@ -306,6 +306,18 @@ def test_count_general(capsys, monkeypatch):
     assert payload == {"count": 2, "d": 1, "m": 1, "n": 1}
 
 
+def test_count_takes_every_monic_f(capsys, monkeypatch):
+    # x^16 + x^4 = x^4 o (x^4 + x) over F_4: x^4 + x's species (1; 2) and the block x^4 of order 2
+    code, out = run(capsys, ["count"], stdin=jobspec_f4([[0, 0]] * 2 + X4_PLUS_X), monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"species": [[1, [0, 1]], [1, [2]]], "lines": 4, "chains": 18, "g": [1, 4, 5, 4, 1]}
+    code, out = run(capsys, ["count"], stdin=jobspec_f4([[1, 0]]), monkeypatch=monkeypatch)  # f = x
+    assert (code, json.loads(out)) == (0, {"species": [], "lines": 0, "chains": 1, "g": [1]})
+    for coeffs in ([], [[0, 0], [0, 1]]):  # zero, not monic
+        code, out = run(capsys, ["count"], stdin=jobspec_f4(coeffs), monkeypatch=monkeypatch)
+        assert code == 2 and json.loads(out)["error"]["type"] == "InputError"
+
+
 def test_mhat(capsys):
     code, out = run(capsys, ["mhat", "--n", "2", "--r", "2"])
     assert code == 0
@@ -602,9 +614,10 @@ def test_malformed_f_is_refused_before_a_slow_tower_is_built():
 )
 def test_well_formed_job_past_the_search_cap_is_refused_before_the_search(p, e, k, name, cap, bits):
     # each default construction search runs for tens of seconds or more; the cap refuses it first.
-    # Limit and request are in bits: log2 of the size of the level that name builds
-    width = k if k > 1 else e  # F_q's coordinates over the level below
-    one = [1] + [0] * (width - 1)
+    # Limit and request are in bits: log2 of the size of the level that name builds. The JobSpec
+    # is well formed: one of F_q is k coordinates over F_r, each e coordinates over F_p
+    digit, zero = ([1] + [0] * (e - 1), [0] * e) if e > 1 else (1, 0)
+    one = [digit] + [zero] * (k - 1) if k > 1 else digit
     job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": [one, one]}}
     error = refused_within_2_s(job)
     assert (error["budget"], error["limit"], error["requested"]) == (f"{name} search", cap, bits)

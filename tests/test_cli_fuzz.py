@@ -8,11 +8,12 @@ belongs, huge degrees, reducible or misshapen construction polynomials, unknown
 fields and deep nesting. verify's JobSpecs add hostile max_ext values, root spaces
 past the extension cap at k > 1 and non-squarefree f. Species-shaped JobSpecs give
 count many equal blocks or one long block. pi's JobSpecs draw t dividing r - 1 or
-not, and count-general's an inseparable f with d inside and outside 0..n. Command
-lines drawn from an alphabet of options, abbreviations, = forms, separators and
-integer-like values (tests/helpers.py) run on a well-formed JobSpec; help, which
-prints argparse's usage text and exits 0, is the one exit with no JSON. The draws
-are derandomized (tests/conftest.py).
+not, and count-general's an inseparable f with d inside and outside 0..n, which
+count --all answers with the same g_d. Command lines drawn from an alphabet of
+options, abbreviations, = forms, separators and integer-like values
+(tests/helpers.py) run on a well-formed JobSpec; help, which prints argparse's
+usage text and exits 0, is the one exit with no JSON. The draws are derandomized
+(tests/conftest.py).
 """
 
 import contextlib
@@ -69,7 +70,7 @@ def zero(p, e, k):
 def well_formed(draw):
     p, e, k = draw(st.sampled_from(TOWERS))
     coeffs = draw(st.lists(element(p, e, k), min_size=1, max_size=5))
-    if draw(st.integers(0, 3)):  # mostly monic with a_0 = 1, which species and count accept
+    if draw(st.integers(0, 3)):  # mostly monic with a_0 = 1, which species accepts (count takes any monic f)
         coeffs = [one(p, e, k)] + coeffs[1:] + [one(p, e, k)]
     job = {"p": p, "e": e, "k": k, "f": {"r_exp": e, "coeffs": coeffs}}
     if not draw(st.integers(0, 3)):  # an override, irreducible or not, of the right shape or not
@@ -271,3 +272,7 @@ def test_every_generated_pi_and_count_general_jobspec_ends_with_one_json_documen
         n, d = len(job["f"]["coeffs"]) - 1, job["d"]
         assert code == 0 and payload["d"] == d, out
         assert (payload["count"] == 0) == (d < 0 or d > n), out
+        code, out = run(["count", "--all", "--d", str(d)], json.dumps(job))  # count answers it too
+        counts = one_document(code, out)
+        assert code == 0 and counts["g_d"] == payload["count"], out
+        assert counts["g"][1:2] == [counts["lines"]] and len(counts["g"]) == n + 1, out

@@ -17,6 +17,7 @@ from addpoly.latcount import (
     mhat,
     ore_criterion_count,
     q_bracket,
+    species_of,
 )
 from corpus import additive, all_monic_squarefree, tower, x_rpow_plus_x
 from helpers import chains_by_recursion, depth_counts, partitions, quotient_species, signatures
@@ -169,6 +170,19 @@ def test_count_right_components_general_examples():
     # above exponent everything is empty
     assert count_right_components(fbar, 3) == 0
     assert count_right_components(fbar, -1) == 0
+
+
+def test_species_of_adds_one_block_of_order_m():
+    f = additive(T4, 2, 1, 1)  # squarefree
+    for m in range(4):
+        fbar = compose(additive(T4, *[0] * m, 1), f)
+        extra = [(1, (0,) * (m - 1) + (1,))] if m else []
+        assert species_of(fbar) == Species.make(list(rational_jordan_form(f).species) + extra)
+    assert species_of(AdditivePoly.identity(T4)) == Species(())  # f = x
+    assert species_of(additive(T2, 0, 1, 1)) == Species.make([(1, (1,)), (1, (1,))])  # x^2 o (x^2 + x)
+    for bad in (AdditivePoly(T4), additive(T4, 0, 2)):  # zero, not monic
+        with pytest.raises(InputError):
+            species_of(bad)
 
 
 def test_count_right_components_general_brute_crosscheck():

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 import sys
 from itertools import product
@@ -10,10 +12,13 @@ from addpoly import linalg, oracle
 from addpoly.additive import (
     AdditivePoly,
     central_to_upoly,
+    compose,
     evaluate,
     minimal_central_left_component,
+    right_divmod,
     upoly_to_central,
 )
+from addpoly.cli import main
 from addpoly.errors import BudgetExceeded, ExtensionTooLarge, InputError
 from addpoly.ffield import TABLE_SIZE
 from addpoly.frobjordan import Species
@@ -427,6 +432,65 @@ def test_division_oracle_matches_squarefree_counts():
             for f in all_monic_squarefree(tw, n):
                 for d in range(n + 1):
                     assert len(right_components_by_division(f, d)) == count_right_components(f, d)
+
+
+def _chains_by_division(f, memo):
+    """Maximal chains of right components of a monic f: the sum, over the minimal right
+    components h of f (no right component of f but x right-divides h), of the chains of the
+    left quotient g, f = g o h."""
+    if f.exponent < 1:
+        return 1
+    if f not in memo:
+        found = [h for d in range(1, f.exponent + 1) for h in right_components_by_division(f, d)]
+        minimal = [h for h in found if not any(right_divmod(h, u)[1].is_zero for u in found if u.exponent < h.exponent)]
+        memo[f] = sum(_chains_by_division(right_divmod(f, h)[0], memo) for h in minimal)
+    return memo[f]
+
+
+def _cli(monkeypatch, capsys, argv, f):
+    tw = f.tower
+    job = {"p": tw.p, "e": tw.e, "k": tw.k, "f": f.to_json()}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 2, 1)], ids=str)
+def test_count_of_every_monic_f_agrees_with_trial_division(monkeypatch, capsys, key):
+    # fbar = x^(r^m) o f for up to three squarefree f of each exponent n <= 3 (f = x at n = 0)
+    # and m <= 2: count --all and count-general give the chains and g_d that division finds
+    tw, rng, memo = tower(*key), random.Random(33), {}
+    for n in range(4):
+        pool = list(all_monic_squarefree(tw, n))
+        for f in rng.sample(pool, min(3, len(pool))):
+            for m in range(3):
+                fbar = compose(additive(tw, *[0] * m, 1), f)
+                g = [len(right_components_by_division(fbar, d)) for d in range(n + m + 1)]
+                payload = _cli(monkeypatch, capsys, ["count", "--all"], fbar)
+                assert (payload["chains"], payload["g"]) == (_chains_by_division(fbar, memo), g), (key, m, f)
+                assert payload["lines"] == (g[1] if g[1:] else 0)
+                if m:
+                    assert [1, [0] * (m - 1) + [1]] in payload["species"]
+                for d in range(n + m + 1):
+                    assert _cli(monkeypatch, capsys, ["count-general", "--d", str(d)], fbar)["count"] == g[d]
+
+
+def test_oracle_minimal_polynomial_shares_no_elimination_with_mclc(monkeypatch):
+    # mclc reads tau(f*) off SpanTracker's packed rows (bits over F_2, byte slots over F_3 and
+    # F_4); the oracle's minimal polynomial and species, which verify checks it against, must not
+    cases = []
+    for field in (F2, F3, T4.fq, tower(17, 1, 1).fr):
+        for species in (Species.make([(1, (0, 1)), (2, (1,))]), Species.make([(1, (2, 1))])):
+            form = realize_species(field, species)
+            cases.append((field, block_matrix(form), form.minimal_polynomial().encode(), species))
+
+    def refuse(self, vec):
+        raise AssertionError("the oracle ran SpanTracker")
+
+    monkeypatch.setattr(linalg.SpanTracker, "add", refuse)
+    for field, mat, minpoly, species in cases:
+        assert oracle.minpoly_of_matrix(field, mat).encode() == minpoly
+        assert species_from_matrix(field, mat) == species
 
 
 def test_division_oracle_matches_general_counts():

@@ -2,10 +2,9 @@
 
 `bench/reference.json` holds, per job key, the exit code and the SHA-256 of
 stdout of every job `bench/workloads.all_jobs` can put in a workload. The
-species-tower and count-verify jobs recorded as answered run here through
-`cli.main`, each from a cold start, so byte-identical output is checked on
-every test run and not only by benchmark runs. species-prime is left to the
-benchmark: its x^(2^512)+x jobs alone take seconds.
+jobs of all three workloads recorded as answered run here through `cli.main`,
+each from a cold start, so byte-identical output is checked on every test run
+and not only by benchmark runs.
 """
 
 from pathlib import Path
@@ -15,7 +14,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("workload", ["species-tower", "count-verify"])
+@pytest.mark.parametrize("workload", ["species-tower", "species-prime", "count-verify"])
 def test_answered_jobs_print_the_recorded_bytes(monkeypatch, workload):
     monkeypatch.syspath_prepend(str(BENCH))
     import check
